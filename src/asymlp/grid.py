@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
@@ -273,6 +274,24 @@ class GridFunction:
         for h in self.spacing:
             v *= h
         return v
+
+    @cached_property
+    def runs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Maximal constant runs of a one-dimensional function, as (bounds, values).
+
+        Run i covers cells bounds[i] to bounds[i+1] - 1 and holds values[i];
+        bounds starts at 0 and ends at the cell count.  Computed once per
+        instance: the values are read-only, so the runs never go stale.
+        """
+        if self.dim != 1:
+            raise GridError("runs are one-dimensional")
+        v = self.values
+        starts = np.concatenate(([0], np.flatnonzero(np.diff(v) != 0.0) + 1))
+        bounds = np.concatenate((starts, [v.shape[0]])).astype(np.int64)
+        run_values = v[starts]
+        bounds.setflags(write=False)
+        run_values.setflags(write=False)
+        return bounds, run_values
 
     def edges(self, axis: int = 0) -> list[Fraction]:
         a, _ = self.box[axis]

@@ -5,6 +5,13 @@ constancy intervals, plus closed-form contributions from power-law tails.
 Interval measures are accumulated as exact integers on a common rational
 lattice and converted to float once per distinct transformed value, so
 results carry a single rounding per value group.
+
+That conversion is one IEEE division when the lattice scale and every
+grouped integer sum are below 2**53: both are then exact doubles and the
+quotient is correctly rounded, the same float ``Fraction`` gives.  Larger
+inputs take the ``Fraction`` route.  Lattice edges are checked in Python
+integers before any int64 arithmetic; geometry whose edges reach 2**62
+raises GridError instead of wrapping.
 """
 from __future__ import annotations
 
@@ -16,7 +23,6 @@ from typing import Union
 import numpy as np
 
 from .grid import (
-    Fraction as _Fraction,  # noqa: F401  (re-export convenience)
     FractionLike,
     GridError,
     GridFunction,
@@ -41,6 +47,7 @@ __all__ = [
 ]
 
 _INT_GUARD = 2**62
+_EXACT_INT = 2**53  # integers below this are exact doubles
 
 
 # ---------------------------------------------------------------------------
@@ -110,21 +117,21 @@ def _cap(transform: Transform, sup_abs: float) -> float:
 # ---------------------------------------------------------------------------
 
 def _scale_for(*fracs: Fraction) -> int:
-    s = 1
-    for fr in fracs:
-        d = fr.denominator
-        s = s * d // math.gcd(s, d)
-    return s
+    return math.lcm(*(fr.denominator for fr in fracs))
 
 
-def _as_int(x: Fraction, scale: int) -> int:
-    v = x * scale
-    if v.denominator != 1:
-        raise GridError("coordinate is off the common lattice")
-    n = v.numerator
+def _check_guard(n: int) -> int:
     if abs(n) >= _INT_GUARD:
         raise GridError("rational geometry too fine for the integer lattice")
     return n
+
+
+def _lattice(x: Fraction, scale: int) -> int:
+    """x * scale as a guarded integer; x must lie on the lattice 1/scale."""
+    q, r = divmod(scale, x.denominator)
+    if r:
+        raise GridError("coordinate is off the common lattice")
+    return _check_guard(x.numerator * q)
 
 
 class _PW:
@@ -140,38 +147,28 @@ class _PW:
         self.values = values
 
     def lookup(self, left_edges: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(self.edges, left_edges, side="right") - 1
-        out = np.zeros(left_edges.shape, dtype=np.float64)
-        ok = (idx >= 0) & (idx < len(self.values))
-        if ok.any():
-            out[ok] = self.values[idx[ok]]
-        return out
+        # one value per searchsorted slot: 0 before the first edge and from
+        # the last one on
+        padded = np.concatenate(([0.0], self.values, [0.0]))
+        return padded[self.edges.searchsorted(left_edges, side="right")]
 
 
 def _pw_of(f: GridFunction, scale: int, shift: Fraction = Fraction(0)) -> _PW:
     (a, _), = f.box
-    h = f.spacing[0]
-    e0 = _as_int(a + shift, scale)
-    step = _as_int(h, scale)
-    v = f.values
-    n = v.shape[0]
-    if n == 0:
-        return _PW(np.array([e0], dtype=np.int64), np.zeros(0))
-    change = np.flatnonzero(np.diff(v) != 0.0)
-    starts = np.concatenate(([0], change + 1))
-    run_values = v[starts]
-    bounds = np.concatenate((starts, [n])).astype(np.int64)
-    edges = e0 + step * bounds
-    if abs(int(edges[0])) >= _INT_GUARD or abs(int(edges[-1])) >= _INT_GUARD:
-        raise GridError("rational geometry too fine for the integer lattice")
-    return _PW(edges, run_values.astype(np.float64))
+    e0 = _lattice(a + shift if shift else a, scale)
+    step = _lattice(f.spacing[0], scale)
+    bounds, run_values = f.runs
+    # edges run monotonically from e0 to the last one: with both ends
+    # guarded, the int64 arithmetic below cannot wrap
+    _check_guard(e0 + step * int(bounds[-1]))
+    return _PW(e0 + step * bounds, run_values)
 
 
 def _merge(p: _PW, q: _PW):
     """Common partition; returns (left_edges, lengths, v_p, v_q)."""
     edges = np.unique(np.concatenate((p.edges, q.edges)))
     left = edges[:-1]
-    lengths = np.diff(edges)
+    lengths = edges[1:] - left
     return left, lengths, p.lookup(left), q.lookup(left)
 
 
@@ -185,10 +182,21 @@ def _group_exact(tvals: np.ndarray, int_lengths: np.ndarray, scale: int) -> floa
     order = np.argsort(tv, kind="stable")
     tv = tv[order]
     ln = ln[order]
-    cuts = np.concatenate(([0], np.flatnonzero(np.diff(tv) != 0.0) + 1))
-    sums = np.add.reduceat(ln, cuts)
+    cuts = np.concatenate(([0], np.flatnonzero(tv[1:] != tv[:-1]) + 1))
+    return _fsum_groups(tv[cuts], np.add.reduceat(ln, cuts), 1, scale)
+
+
+def _fsum_groups(values: np.ndarray, counts: np.ndarray, num: int, den: int) -> float:
+    """fsum of values[i] * (counts[i] * num / den), one rounding per group.
+
+    counts are non-negative integers and num, den positive.  Below 2**53
+    the product and the denominator are exact doubles, so a single float
+    division gives the correctly rounded quotient; otherwise Fraction does.
+    """
+    if den < _EXACT_INT and int(counts.max()) * num < _EXACT_INT:
+        return math.fsum((counts * num / den * values).tolist())
     return math.fsum(
-        float(Fraction(int(s), scale)) * float(tv[c]) for s, c in zip(sums, cuts)
+        float(Fraction(int(c) * num, den)) * float(v) for v, c in zip(values, counts)
     )
 
 
@@ -204,8 +212,8 @@ def _reduce_region(
         return _group_exact(tvals, lengths, scale)
 
     if isinstance(region, Window):
-        lo = None if region.lo is None else _as_int(as_fraction(region.lo), scale)
-        hi = None if region.hi is None else _as_int(as_fraction(region.hi), scale)
+        lo = None if region.lo is None else _lattice(as_fraction(region.lo), scale)
+        hi = None if region.hi is None else _lattice(as_fraction(region.hi), scale)
         l = left.copy()
         r = left + lengths
         if lo is not None:
@@ -326,22 +334,26 @@ def _grid_integral_1d(f: GridFunction, transform: Transform, region: Region) -> 
     scale = _scale_for(f.box[0][0], f.spacing[0], *extra)
     pw = _pw_of(f, scale)
     left = pw.edges[:-1]
-    lengths = np.diff(pw.edges)
+    lengths = pw.edges[1:] - left
     tvals = _apply(transform, pw.values)
     return _reduce_region(tvals, left, lengths, scale, region)
+
+
+def _cell_masses(tvals: np.ndarray, vol: Fraction) -> float:
+    """Sum of tvals over cells of volume vol, grouped per distinct value."""
+    flat = tvals.ravel()
+    nz = flat != 0.0
+    if not nz.any():
+        return 0.0
+    u, w = np.unique(flat[nz], return_counts=True)
+    return _fsum_groups(u, w, vol.numerator, vol.denominator)
 
 
 def _grid_integral_2d(f: GridFunction, transform: Transform, region: Region) -> float:
     vol = f.cell_volume
     tvals = _apply(transform, f.values)
     if region is None:
-        flat = tvals.ravel()
-        nz = flat != 0.0
-        if not nz.any():
-            return 0.0
-        u, inv = np.unique(flat[nz], return_inverse=True)
-        w = np.bincount(inv)
-        return math.fsum(float(Fraction(int(wi)) * vol) * float(ui) for ui, wi in zip(u, w))
+        return _cell_masses(tvals, vol)
 
     (a1, _), (a2, _) = f.box
     h1, h2 = f.spacing
@@ -364,16 +376,7 @@ def _grid_integral_2d(f: GridFunction, transform: Transform, region: Region) -> 
         raise GridError(f"unknown region {region!r}")
 
     full = weight >= area  # cells entirely in the region: exact mass
-    exact = 0.0
-    if full.any():
-        flat = np.where(full, tvals, 0.0).ravel()
-        nz = flat != 0.0
-        if nz.any():
-            u, inv = np.unique(flat[nz], return_inverse=True)
-            w = np.bincount(inv)
-            exact = math.fsum(
-                float(Fraction(int(wi)) * vol) * float(ui) for ui, wi in zip(u, w)
-            )
+    exact = _cell_masses(np.where(full, tvals, 0.0), vol)
     partial = (~full) & (weight > 0.0) & (tvals != 0.0)
     return exact + float(np.sum(tvals[partial] * weight[partial]))
 

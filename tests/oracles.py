@@ -106,3 +106,45 @@ def minimal_cover_size(dist_matrix, eps: float) -> int:
             if all(any(dist_matrix[i][c] < eps for c in subset) for i in range(n)):
                 return size
     return n
+
+
+def exact_sweep_1d(f, g, T, lo=None, hi=None, shift=Fraction(0)) -> Fraction:
+    """Exact integral of T(f(x + shift) - g(x)) over lo <= x < hi.
+
+    f and g are one-dimensional with zero tails; g may be None (read as 0).
+    Every coordinate stays a Fraction: the breakpoints are all cell edges of
+    both operands and the window bounds, and each piece between neighbouring
+    breakpoints is read at its midpoint.  The difference is taken as a float
+    subtraction, the value f - g is defined to be, and T maps that float to
+    an exact Fraction.  lo/hi of None mean unbounded.
+    """
+
+    def cells(fn, offset):
+        (a, _), = fn.box
+        h = fn.spacing[0]
+        vals = fn.values.tolist()
+        return a - offset, h, vals
+
+    operands = [cells(f, shift)] + ([] if g is None else [cells(g, Fraction(0))])
+    points = set()
+    for a, h, vals in operands:
+        points.update(a + i * h for i in range(len(vals) + 1))
+    if lo is not None:
+        points.add(Fraction(lo))
+    if hi is not None:
+        points.add(Fraction(hi))
+    points = sorted(points)
+
+    def value(operand, x):
+        a, h, vals = operand
+        i = math.floor((x - a) / h)
+        return vals[i] if 0 <= i < len(vals) else 0.0
+
+    total = Fraction(0)
+    for x0, x1 in zip(points, points[1:]):
+        if (lo is not None and x0 < lo) or (hi is not None and x1 > hi):
+            continue
+        mid = (x0 + x1) / 2
+        d = value(operands[0], mid) - (value(operands[1], mid) if g is not None else 0.0)
+        total += (x1 - x0) * T(d)
+    return total

@@ -2,9 +2,14 @@
 import math
 from fractions import Fraction as F
 
+import numpy as np
+
 from hypothesis import given, settings, strategies as st
+import pytest
 
 import asymlp as a
+import oracles
+from asymlp import quadrature
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
@@ -141,3 +146,155 @@ class TestNets:
         check = a.verify_covering(family, net)
         assert check.passed
         assert max(net.distances) < eps
+
+
+# ---------------------------------------------------------------------------
+# the exact sweep against a pure-Fraction evaluator
+# ---------------------------------------------------------------------------
+
+_BIG = 2**53  # integers from here on are no longer all exact doubles
+_GUARD = 2**62  # lattice edges from here on raise GridError
+_PRIMES = (1, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+_TRANSFORMS = st.sampled_from((
+    a.AbsPower(1.0), a.AbsPower(2.0), a.ClampPower(1.0), a.ClampPower(2.0),
+    a.Threshold(0.5), a.Threshold(0.0),
+))
+
+
+def _exact_transform(t):
+    """T as an exact map from the float difference to a Fraction."""
+    if isinstance(t, a.Threshold):
+        return lambda d: F(int(abs(d) > t.level))
+    clamp = isinstance(t, a.ClampPower)
+    return lambda d: (min(F(abs(d)), F(1)) if clamp else F(abs(d))) ** int(t.p)
+
+
+def _within_rounding(got: float, exact: F) -> bool:
+    """got is exact up to one rounding per group: of the group's measure,
+    its transformed value and their product, plus fsum's final rounding.
+    The absolute term covers transformed values that underflow."""
+    return abs(F(got) - exact) <= exact * F(5, _BIG) + F(1, 2**1000)
+
+
+_SCALES = st.one_of(
+    st.integers(1, _BIG - 1), st.integers(_BIG - 8, _BIG + 8), st.integers(_BIG, _GUARD)
+)
+
+
+@st.composite
+def _lattice_function(draw, den):
+    """Zero-tail function whose box starts on the lattice 1/den."""
+    h = F(draw(st.integers(1, 3)), den)
+    n = draw(st.integers(1, 10))
+    start = F(draw(st.integers(-4 * den, 4 * den)), den)
+    pool = st.sampled_from((0.0, -0.0, 0.5, -1.25, 3.0, 5e-324))
+    values = draw(st.lists(
+        st.one_of(pool, st.floats(-4, 4, allow_nan=False)), min_size=n, max_size=n
+    ))
+    return a.grid_function((start, start + n * h), h, values)
+
+
+@st.composite
+def _coprime_pair(draw):
+    return tuple(draw(_lattice_function(draw(st.sampled_from(_PRIMES)))) for _ in range(2))
+
+
+@st.composite
+def _off_lattice(draw):
+    """A rational whose denominator is small or far past 2**40."""
+    den = draw(st.one_of(st.integers(1, 64), st.integers(2**40, 2**56)))
+    return F(draw(st.integers(-8 * den, 8 * den)), den)
+
+
+@st.composite
+def _mid_cell_window(draw, f):
+    """Window bounds inside cells of f, or unbounded."""
+    (lo, hi), = f.box
+    h = f.spacing[0]
+
+    def bound():
+        cell = draw(st.integers(-2, round((hi - lo) / h) + 1))
+        return lo + (cell + draw(_off_lattice()) % 1) * h
+
+    x, y = sorted((bound(), bound()))
+    return draw(st.sampled_from((None, x))), draw(st.sampled_from((None, y)))
+
+
+def _lattice_fits(*fractions) -> bool:
+    """Whether every coordinate lies below 2**62 on the common lattice."""
+    scale = math.lcm(*(x.denominator for x in fractions))
+    return all(abs(x * scale) < _GUARD for x in fractions)
+
+
+def _geometry(f, shift=F(0)):
+    (lo, hi), = f.box
+    return [lo + shift, hi + shift, f.spacing[0]]
+
+
+def _fresh(f):
+    """The same function as a new instance, with nothing cached."""
+    return a.grid_function(f.box, f.spacing, f.values.copy())
+
+
+class TestExactSweep:
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(st.sampled_from((0.0, 0.25, 1.0, 3.5)),
+                          st.floats(0, 1e6, allow_nan=False)),
+                st.one_of(st.integers(0, 2**20), st.integers(2**50, 2**59)),
+            ),
+            min_size=1, max_size=8,
+        ),
+        _SCALES,
+    )
+    def test_group_exact_matches_fraction_path_bit_for_bit(self, pieces, scale):
+        tvals = np.array([t for t, _ in pieces])
+        lengths = np.array([n for _, n in pieces], dtype=np.int64)
+        groups = {}
+        for t, n in pieces:
+            if t != 0.0 and n > 0:
+                groups[t] = groups.get(t, 0) + n
+        want = math.fsum(float(F(n, scale)) * t for t, n in groups.items())
+        assert quadrature._group_exact(tvals, lengths, scale) == want
+
+    @given(_coprime_pair(), _TRANSFORMS, st.data())
+    def test_integrate_transformed(self, fg, t, data):
+        f, _ = fg
+        lo, hi = data.draw(_mid_cell_window(f))
+        window = a.Window(lo, hi)
+        bounds = [b for b in (lo, hi) if b is not None]
+        if not _lattice_fits(*_geometry(f), *bounds):
+            with pytest.raises(a.GridError):
+                a.integrate_transformed(f, t, window)
+            return
+        got = a.integrate_transformed(f, t, window)
+        exact = oracles.exact_sweep_1d(f, None, _exact_transform(t), lo, hi)
+        assert _within_rounding(got, exact)
+        assert a.integrate_transformed(f, t, window) == got
+        assert a.integrate_transformed(_fresh(f), t, window) == got
+
+    @given(_coprime_pair(), _TRANSFORMS)
+    def test_difference_integral(self, fg, t):
+        f, g = fg
+        got = a.difference_integral(f, g, t)
+        exact = oracles.exact_sweep_1d(f, g, _exact_transform(t))
+        assert _within_rounding(got, exact)
+        assert a.difference_integral(f, g, t) == got
+        assert a.difference_integral(_fresh(f), _fresh(g), t) == got
+
+    @given(_coprime_pair(), _off_lattice(), _TRANSFORMS, st.data())
+    def test_translation_defect(self, fg, y, t, data):
+        f, _ = fg
+        lo, hi = data.draw(_mid_cell_window(f))
+        window = a.Window(lo, hi)
+        bounds = [b for b in (lo, hi) if b is not None]
+        if not _lattice_fits(*_geometry(f), *_geometry(f, -y), y, *bounds):
+            with pytest.raises(a.GridError):
+                a.translation_defect(f, y, t, window)
+            return
+        got = a.translation_defect(f, y, t, window)
+        exact = oracles.exact_sweep_1d(f, f, _exact_transform(t), lo, hi, shift=y)
+        assert _within_rounding(got, exact)
+        assert a.translation_defect(f, y, t, window) == got
+        assert a.translation_defect(_fresh(f), y, t, window) == got

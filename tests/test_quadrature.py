@@ -178,6 +178,21 @@ class TestTranslationDefect:
         assert got == pytest.approx(1.0, abs=0)
 
 
+class TestLatticeGuard:
+    """Edges 2**62 or more from the origin raise instead of wrapping in int64."""
+
+    def test_shifted_edges_past_int64_raise(self):
+        # scale 2**52, 4096 unit cells: the last edge is 2**64
+        f = a.constant(1.0, (0, 4096), 1)
+        with pytest.raises(a.GridError):
+            a.translation_defect(f, F(1, 2**52), a.ClampPower(1.0))
+
+    def test_window_refining_the_lattice_past_int64_raises(self):
+        f = a.grid_function((0, 4096), 1, np.arange(4096.0))
+        with pytest.raises(a.GridError):
+            a.integrate_transformed(f, a.AbsPower(1.0), a.Window(F(1, 2**52), None))
+
+
 class TestSuperlevel:
     def test_measure_strict_inequality(self):
         f = box_fn([0.5, 1.0, 1.5, 2.0])
