@@ -14,10 +14,6 @@ produced by :mod:`asymlp.io`.
 
 Exit status: 0 on success, 2 when a checked condition or covering fails,
 1 on usage or input errors.
-
-The environment variable ``ASYMLP_THREADS`` sets the worker-thread count
-used for pairwise distance matrices (default 1).  Results are assembled
-in index order, so output is identical for any thread count.
 """
 
 from __future__ import annotations

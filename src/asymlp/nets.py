@@ -7,12 +7,33 @@ constructive route through a level cut: members are truncated at a cut M
 whose superlevel measure is below (eta/2)**p, an unclamped (eta/2)-net is
 built on the truncated family, and the triangle inequality lifts it to an
 eta-net for the originals in the clamped metric — re-verified directly.
+
+Every first-fit loop (greedy_net, covering_profile and the lift) runs
+through one core that skips a candidate center when an exact lower bound
+on the distance already rules out a hit.  With I(m) the integral of T(m)
+(T = ClampPower(p) for the clamped metric, AbsPower(p) for the lift's
+p-metric), cached once per member, and N(m) = I(m)**(1/p):
+
+* a pair is eligible only when both members are 1-d, have equal tails
+  and finite I; every other pair gets the full distance call, so its
+  errors (distinct tails, 2-d grids, divergent integrals) are unchanged;
+* with zero tails and disjoint boxes (touching counts as disjoint) the
+  supports do not overlap, so d**p = I(m) + I(c) and lb = that**(1/p);
+  otherwise the triangle inequality gives lb = |N(m) - N(c)|;
+* the pair is skipped only when lb - eps > 1e-12 * (N(m) + N(c) + eps),
+  a margin that scales with the norms because the subtraction in the
+  triangle bound loses absolute precision in proportion to them.
+
+Hits, and so every recorded distance, still come from the full call:
+centers, assignments, distances and profiles are those of the plain
+first-fit loop, bit for bit.  One behaviour differs: a skipped pair never
+builds a common lattice, so a pair whose lattice would reach 2**62 (where
+the distance call raises GridError) gets a certified miss when its bound
+rules it out.
 """
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -22,7 +43,7 @@ from .families import FamilySpec
 from .grid import GridError, GridFunction
 from .norms import alpha_distance, lp_distance
 from .operators import truncate
-from .quadrature import superlevel_measure
+from .quadrature import AbsPower, ClampPower, Transform, integrate_transformed, superlevel_measure
 
 __all__ = [
     "EpsNet",
@@ -52,7 +73,9 @@ class EpsNet:
     centers[j] is a grid function (a family member for the greedy method,
     a truncated member for the lift); center_indices[j] is the family
     index it came from.  assignment[i] is the center position covering
-    member i, distances[i] the recomputed clamped distance.
+    member i, distances[i] the recomputed clamped distance.  extras holds
+    the first-fit counts distances_computed and distances_pruned, plus the
+    level cut for the lift.
     """
 
     eps: float
@@ -90,81 +113,133 @@ class CoveringCheck:
         return f"covering FAILED ({worst})"
 
 
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("ASYMLP_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def pairwise_distances(family: FamilySpec) -> np.ndarray:
-    """Symmetric matrix of clamped distances between members.
-
-    Rows are computed in parallel when ``ASYMLP_THREADS`` is set above 1;
-    each entry lands at a fixed index, so the result does not depend on
-    the thread count.
-    """
+    """Symmetric matrix of clamped distances between members."""
     n = len(family.members)
     out = np.zeros((n, n))
-
-    def fill_row(i: int) -> None:
+    for i in range(n):
         for j in range(i + 1, n):
             d = alpha_distance(family.members[i], family.members[j], family.p)
             out[i, j] = out[j, i] = d
-
-    workers = _thread_count()
-    if workers == 1 or n < 4:
-        for i in range(n):
-            fill_row(i)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill_row, range(n)))
     return out
 
 
-def _greedy(
-    members: Iterable[GridFunction],
-    eps: float,
-    metric: Callable[[GridFunction, GridFunction], float],
-):
-    """Streaming greedy cover: first-fit against centers in creation order."""
-    centers: list[GridFunction] = []
+def _disjoint(x: tuple, y: tuple) -> bool:
+    """Whether two intervals (lo, hi, float lo, float hi) meet in at most a point.
+
+    Rounding to float is monotone, so the floats decide every comparison
+    they do not tie; ties fall back to the exact Fractions.
+    """
+    a, b, fa, fb = x
+    s, t, fs, ft = y
+    return fb < fs or (fb == fs and b <= s) or ft < fa or (ft == fa and t <= a)
+
+
+class _FirstFit:
+    """Streaming first-fit cover against centers in creation order.
+
+    place(m) compares m with each center in turn and stops at the first
+    distance below eps; a center whose exact lower bound (see the module
+    docstring) already exceeds eps is skipped without a distance call.
+    """
+
+    def __init__(
+        self,
+        eps: float,
+        p: float,
+        transform: Transform,
+        metric: Callable[[GridFunction, GridFunction], float],
+    ):
+        self.eps = eps
+        self.p = p
+        self.transform = transform
+        self.metric = metric
+        self.centers: list[GridFunction] = []
+        self._keys: list[tuple | None] = []
+        self.computed = 0
+        self.pruned = 0
+
+    def _key(self, m: GridFunction) -> tuple | None:
+        """(I(m), N(m), tail, box interval), or None when m is never skipped."""
+        if m.dim != 1:
+            return None
+        (lo, hi), = m.box
+        try:
+            total = integrate_transformed(m, self.transform)
+            box = (lo, hi, float(lo), float(hi))
+        except (GridError, OverflowError):
+            return None  # the full call decides, as it would without bounds
+        if not math.isfinite(total):
+            return None
+        return total, total ** (1.0 / self.p), m.tail, box
+
+    def _far(self, mk: tuple | None, ck: tuple | None) -> bool:
+        if mk is None or ck is None:
+            return False
+        im, nm, tail, box_m = mk
+        ic, nc, tail_c, box_c = ck
+        if tail is not tail_c and tail != tail_c:
+            return False
+        if tail.is_zero and _disjoint(box_m, box_c):
+            lb = (im + ic) ** (1.0 / self.p)
+        else:
+            lb = abs(nm - nc)
+        return lb - self.eps > 1e-12 * (nm + nc + self.eps)
+
+    def place(self, m: GridFunction) -> tuple[int, float]:
+        """Position of the center covering m and their distance (0.0 for a new center)."""
+        mk = self._key(m)
+        for j, (c, ck) in enumerate(zip(self.centers, self._keys)):
+            if self._far(mk, ck):
+                self.pruned += 1
+                continue
+            self.computed += 1
+            d = self.metric(m, c)
+            if d < self.eps:
+                return j, d
+        self.centers.append(m)
+        self._keys.append(mk)
+        return len(self.centers) - 1, 0.0
+
+    def counts(self) -> dict:
+        return {"distances_computed": self.computed, "distances_pruned": self.pruned}
+
+
+def _greedy(members: Iterable[GridFunction], fit: _FirstFit):
+    """Greedy cover of a finite family: center positions, assignment, distances."""
     center_pos: list[int] = []
     assignment: list[int] = []
     distances: list[float] = []
     for pos, m in enumerate(members):
-        hit = None
-        for j, c in enumerate(centers):
-            d = metric(m, c)
-            if d < eps:
-                hit = (j, d)
-                break
-        if hit is None:
-            centers.append(m)
+        j, d = fit.place(m)
+        if j == len(center_pos):
             center_pos.append(pos)
-            assignment.append(len(centers) - 1)
-            distances.append(0.0)
-        else:
-            assignment.append(hit[0])
-            distances.append(hit[1])
-    return centers, center_pos, assignment, distances
+        assignment.append(j)
+        distances.append(d)
+    return center_pos, assignment, distances
+
+
+def _clamped_fit(family: FamilySpec, eps: float) -> _FirstFit:
+    p = family.p
+    return _FirstFit(eps, p, ClampPower(p), lambda a, b: alpha_distance(a, b, p))
 
 
 def greedy_net(family: FamilySpec, eps: float) -> EpsNet:
     """Deterministic lowest-index-first greedy eps-net under the clamped metric."""
     if eps <= 0:
         raise GridError("eps must be positive")
-    metric = lambda a, b: alpha_distance(a, b, family.p)
-    centers, center_pos, assignment, distances = _greedy(family.members, eps, metric)
+    fit = _clamped_fit(family, eps)
+    center_pos, assignment, distances = _greedy(family.members, fit)
     return EpsNet(
         eps=float(eps),
         p=family.p,
         method="greedy",
         center_indices=tuple(family.indices[pos] for pos in center_pos),
-        centers=tuple(centers),
+        centers=tuple(fit.centers),
         assignment=tuple(assignment),
         distances=tuple(distances),
         max_assigned_distance=max(distances),
+        extras=fit.counts(),
     )
 
 
@@ -204,8 +279,7 @@ def covering_profile(
     Ks = sorted(set(int(K) for K in K_list))
     if not Ks or Ks[0] < 1:
         raise GridError("profile horizons must be positive")
-    metric = lambda a, b: alpha_distance(a, b, family.p)
-    centers: list[GridFunction] = []
+    fit = _clamped_fit(family, eps)
     sizes: dict[int, int] = {}
     targets = iter(Ks)
     target = next(targets)
@@ -220,10 +294,9 @@ def covering_profile(
                     f"profile horizon {target} exceeds the materialised family"
                 )
             m = family.members[k - 1]
-        if not any(metric(m, c) < eps for c in centers):
-            centers.append(m)
+        fit.place(m)
         if k == target:
-            sizes[target] = len(centers)
+            sizes[target] = len(fit.centers)
             nxt = next(targets, None)
             if nxt is None:
                 break
@@ -286,8 +359,9 @@ def truncation_lift_net(family: FamilySpec, eta: float) -> EpsNet:
     budget = (eta / 2.0) ** p
     M, worst_level = _find_level_cut(family, budget)
     truncated = [truncate(m, M) for m in family.members]
-    metric = lambda a, b: lp_distance(a, b, p)
-    centers, center_pos, assignment, _ = _greedy(truncated, eta / 2.0, metric)
+    fit = _FirstFit(eta / 2.0, p, AbsPower(p), lambda a, b: lp_distance(a, b, p))
+    center_pos, assignment, _ = _greedy(truncated, fit)
+    centers = fit.centers
 
     distances = [
         alpha_distance(m, centers[assignment[i]], p)
@@ -307,5 +381,10 @@ def truncation_lift_net(family: FamilySpec, eta: float) -> EpsNet:
         assignment=tuple(assignment),
         distances=tuple(distances),
         max_assigned_distance=worst,
-        extras={"M": M, "level_budget": budget, "worst_level_measure": worst_level},
+        extras={
+            "M": M,
+            "level_budget": budget,
+            "worst_level_measure": worst_level,
+            **fit.counts(),
+        },
     )

@@ -108,6 +108,27 @@ def minimal_cover_size(dist_matrix, eps: float) -> int:
     return n
 
 
+def first_fit(members, eps: float, metric):
+    """Plain first-fit cover: each member against every center, in order, until a hit.
+
+    Returns (center positions, assignment, distances), the distance of a
+    center to itself recorded as 0.0.
+    """
+    centers, assignment, distances = [], [], []
+    for i, m in enumerate(members):
+        for j, c in enumerate(centers):
+            d = metric(m, members[c])
+            if d < eps:
+                assignment.append(j)
+                distances.append(d)
+                break
+        else:
+            centers.append(i)
+            assignment.append(len(centers) - 1)
+            distances.append(0.0)
+    return centers, assignment, distances
+
+
 def exact_sweep_1d(f, g, T, lo=None, hi=None, shift=Fraction(0)) -> Fraction:
     """Exact integral of T(f(x + shift) - g(x)) over lo <= x < hi.
 

@@ -66,6 +66,23 @@ class TestEquicontinuity:
             a.almost_equicontinuity_certificate(fam, 0.25, F(1, 256))
 
 
+class TestSlidingExtreme:
+    def test_matches_scipy_nearest_filters(self):
+        ndimage = pytest.importorskip("scipy.ndimage")
+        from asymlp.bounded import _sliding_extreme
+
+        rng = np.random.default_rng(7)
+        for n in (1, 2, 3, 5, 8, 13, 64):
+            for v in (rng.normal(size=n), rng.integers(-3, 4, size=n).astype(float)):
+                for W in (1, 2, 3, n // 2, n - 1, n, 2 * n + 5):
+                    W = max(W, 1)
+                    size = 2 * W + 1
+                    hi = ndimage.maximum_filter1d(v, size=size, mode="nearest")
+                    lo = ndimage.minimum_filter1d(v, size=size, mode="nearest")
+                    assert np.array_equal(_sliding_extreme(v, W, np.maximum), hi), (n, W)
+                    assert np.array_equal(_sliding_extreme(v, W, np.minimum), lo), (n, W)
+
+
 class TestConvergenceInMeasure:
     def test_spikes_converge(self):
         fam = a.spike_family(8, 1.0)
@@ -111,6 +128,19 @@ class TestCorollary:
         assert not row.translation_passed
         assert row.implication_a_observed  # vacuously: no certificate
         assert not row.implication_b_observed  # net exists, certificate fails
+
+    def test_rows_match_per_row_recomputation(self):
+        fam = a.lipschitz_family(3)
+        eps_list, deltas = [0.5, 0.25], [F(1, 16), F(1, 8), F(1, 4)]
+        rep = a.corollary_crosscheck(fam, eps_list, deltas)
+        assert [(r.eps, r.delta) for r in rep.rows] == [
+            (e, float(d)) for e in eps_list for d in deltas
+        ]
+        step = a.ShiftLattice.default_for(fam).step
+        sym = a.symmetric_difference_decay(fam.members[0], [step])[0][1]
+        for r in rep.rows:
+            assert r.net_size == a.greedy_net(fam, r.eps).size
+            assert r.sym_diff_first_shift == sym
 
     def test_p_must_be_one(self):
         with pytest.raises(a.GridError):

@@ -1,4 +1,5 @@
 """Covering nets: greedy construction, verification, profiles, lift."""
+import math
 from fractions import Fraction as F
 
 import numpy as np
@@ -132,10 +133,64 @@ class TestTruncationLift:
         assert net.size <= len(fam)
 
 
-class TestThreads:
-    def test_thread_count_does_not_change_matrix(self, monkeypatch):
-        fam = a.u_family(6, 1.0)
-        base = a.pairwise_distances(fam)
-        monkeypatch.setenv("ASYMLP_THREADS", "4")
-        threaded = a.pairwise_distances(fam)
-        assert np.array_equal(base, threaded)
+def _comparisons(centers, assignment, _distances) -> int:
+    """First-fit comparisons: a new center meets every earlier one, a hit stops."""
+    return sum(j if i in centers else j + 1 for i, j in enumerate(assignment))
+
+
+class TestPruning:
+    def test_touching_indicators_reach_the_sweep_at_their_distance(self):
+        # adjacent unit indicators are exactly 2.0 apart and the disjoint-box
+        # bound equals that distance, so these pairs cannot be skipped
+        fam = a.g_family(8)
+        assert a.covering_profile(fam, 2.0, [8]) == [8]
+        assert a.covering_profile(fam, math.nextafter(2.0, 3.0), [8]) == [1]
+        net = a.greedy_net(fam, math.nextafter(2.0, 3.0))
+        assert net.size == 1
+        assert net.extras == {"distances_computed": 7, "distances_pruned": 0}
+
+    def test_far_indicators_need_no_distance_call(self):
+        net = a.greedy_net(a.g_family(8), 0.5)
+        assert net.size == 8
+        assert net.extras == {"distances_computed": 0, "distances_pruned": 28}
+
+    def test_counts_cover_every_first_fit_comparison(self, corpus):
+        for name, fam in corpus.items():
+            net = a.greedy_net(fam, 0.5)
+            ref = oracles.first_fit(
+                fam.members, 0.5, lambda f, g: a.alpha_distance(f, g, fam.p)
+            )
+            e = net.extras
+            assert e["distances_computed"] + e["distances_pruned"] == _comparisons(*ref), name
+
+    def test_lift_counts_cover_every_first_fit_comparison(self):
+        fam = a.u_family(16, 1.0)
+        net = a.truncation_lift_net(fam, 0.5)
+        truncated = [a.truncate(m, net.extras["M"]) for m in fam.members]
+        ref = oracles.first_fit(truncated, 0.25, lambda f, g: a.lp_distance(f, g, 1.0))
+        e = net.extras
+        assert e["distances_computed"] > 0
+        assert e["distances_computed"] + e["distances_pruned"] == _comparisons(*ref)
+
+    def test_distinct_power_law_tails_still_raise(self):
+        box, h = (F(-1), F(1)), F(1, 2)
+        f = a.grid_function(box, h, [0.0, 0.0, 0.0, 0.0], a.TailSpec.power_law(1.0, 2.0, 1))
+        g = a.grid_function(box, h, [9.0, 9.0, 9.0, 9.0], a.TailSpec.power_law(2.0, 2.0, 1))
+        fam = a.FamilySpec(name="tails", p=1.0, members=(f, g), indices=(1, 2))
+        with pytest.raises(a.IncompatibleGridsError):
+            a.greedy_net(fam, 0.1)
+
+    def test_pruned_pair_never_builds_its_lattice(self):
+        # each member sits on its own small lattice, but the common lattice
+        # 1/((2**32 + 1) * (2**31 - 1)) puts the second box past 2**62
+        q1, q2 = 2**32 + 1, 2**31 - 1
+        f = a.grid_function((F(0), F(1, q1)), F(1, q1), [1.0])
+        g = a.grid_function((F(1), 1 + F(1, q2)), F(1, q2), [1.0])
+        with pytest.raises(a.GridError):
+            a.alpha_distance(f, g, 1.0)
+        fam = a.FamilySpec(name="fine", p=1.0, members=(f, g), indices=(1, 2))
+        net = a.greedy_net(fam, 1e-10)  # disjoint boxes: d = 1/q1 + 1/q2 > eps
+        assert net.center_indices == (1, 2)
+        assert net.extras == {"distances_computed": 0, "distances_pruned": 1}
+        assert a.covering_profile(fam, 1e-10, [2]) == [2]
+        assert a.verify_covering(fam, net).passed

@@ -298,3 +298,116 @@ class TestExactSweep:
         assert _within_rounding(got, exact)
         assert a.translation_defect(f, y, t, window) == got
         assert a.translation_defect(_fresh(f), y, t, window) == got
+
+
+# ---------------------------------------------------------------------------
+# pruned first-fit nets against the plain first-fit loop
+# ---------------------------------------------------------------------------
+
+_NET_PRIMES = (2, 3, 5, 7, 11, 13)
+
+
+@st.composite
+def _cell_values(draw, n):
+    """n cell values tiled from a few drawn ones, so runs and repeats occur."""
+    pool = st.sampled_from((0.0, 0.5, 1.0, -1.25, 3.0))
+    vals = draw(st.lists(st.one_of(pool, st.floats(-4, 4, allow_nan=False)),
+                         min_size=1, max_size=4))
+    return np.resize(np.array(vals), n)
+
+
+@st.composite
+def _net_member(draw, tail, onset):
+    """A member on the lattice 1/q: carrying the shared tail, or zero-tailed.
+
+    Zero-tailed boxes start on an integer or mid-lattice and span whole
+    units, so different members are disjoint, touching or overlapping;
+    beside a live tail they end at or before its onset.
+    """
+    q = draw(st.sampled_from(_NET_PRIMES))
+    h = F(1, q)
+    if tail is not None and draw(st.booleans()):
+        start = F(draw(st.integers(-onset - 2, -onset)))
+        return a.grid_function((start, F(onset)), h, draw(_cell_values(int((onset - start) * q))), tail)
+    start = draw(st.integers(-4, 3)) + draw(st.sampled_from((0, 0, draw(st.integers(1, q - 1))))) * h
+    length = draw(st.integers(1, 2))
+    if tail is not None:
+        start = min(start, F(onset - length))
+    return a.grid_function((start, start + length), h, draw(_cell_values(length * q)))
+
+
+@st.composite
+def _net_families(draw, tail_sups=(0.25, 1.0, 2.0, 8.0)):
+    """1-7 members, zero-tailed or some sharing one power-law tail."""
+    p = draw(_P)
+    tail, onset = None, 0
+    if draw(st.booleans()):
+        onset = draw(st.integers(1, 3))
+        exponent = draw(st.sampled_from((1.5, 2.0, 3.0)))
+        coefficient = draw(st.sampled_from(tail_sups)) * onset**exponent
+        tail = a.TailSpec.power_law(coefficient, exponent, onset)
+    members = []
+    for _ in range(draw(st.integers(1, 7))):
+        if members and draw(st.integers(0, 4)) == 0:
+            members.append(draw(st.sampled_from(members)))  # a repeat: distance 0
+        else:
+            members.append(draw(_net_member(tail, onset)))
+    return a.FamilySpec(name="drawn", p=p, members=tuple(members),
+                        indices=tuple(range(1, len(members) + 1)))
+
+
+@st.composite
+def _net_eps(draw, fam):
+    """eps at random, or equal to a distance or to one of the pruning bounds."""
+    p, ms = fam.p, fam.members
+    f, g = draw(st.sampled_from(ms)), draw(st.sampled_from(ms))
+    i_f, i_g = (a.integrate_transformed(m, a.ClampPower(p)) for m in (f, g))
+    eps = draw(st.sampled_from((
+        draw(st.floats(0.01, 4.0)),
+        a.alpha_distance(f, g, p),
+        abs(i_f ** (1 / p) - i_g ** (1 / p)),
+        (i_f + i_g) ** (1 / p),
+    )))
+    return eps if eps > 0 else 0.5
+
+
+def _bits(xs):
+    return [x.hex() for x in xs]
+
+
+class TestPrunedNets:
+    @given(st.data())
+    def test_greedy_net_and_profile_match_plain_first_fit(self, data):
+        fam = data.draw(_net_families())
+        eps = data.draw(_net_eps(fam))
+        p, n = fam.p, len(fam)
+        centers, assignment, distances = oracles.first_fit(
+            fam.members, eps, lambda f, g: a.alpha_distance(f, g, p)
+        )
+        net = a.greedy_net(fam, eps)
+        assert net.center_indices == tuple(c + 1 for c in centers)
+        assert net.assignment == tuple(assignment)
+        assert _bits(net.distances) == _bits(distances)
+        Ks = range(1, n + 1)
+        assert a.covering_profile(fam, eps, Ks) == [sum(c < K for c in centers) for K in Ks]
+
+    @given(st.data())
+    def test_truncation_lift_matches_plain_first_fit(self, data):
+        fam = data.draw(_net_families(tail_sups=(0.25, 0.5, 1.0)))  # cut M > 1 keeps tails
+        eta = data.draw(_net_eps(fam))
+        p = fam.p
+        try:
+            net = a.truncation_lift_net(fam, eta)
+        except a.LevelConditionError:
+            return  # the cut search precedes the first-fit loop
+        truncated = [a.truncate(m, net.extras["M"]) for m in fam.members]
+        centers, assignment, _ = oracles.first_fit(
+            truncated, eta / 2.0, lambda f, g: a.lp_distance(f, g, p)
+        )
+        assert net.center_indices == tuple(c + 1 for c in centers)
+        assert net.assignment == tuple(assignment)
+        lifted = [
+            a.alpha_distance(m, truncated[centers[j]], p)
+            for m, j in zip(fam.members, assignment)
+        ]
+        assert _bits(net.distances) == _bits(lifted)
