@@ -280,6 +280,15 @@ def convergence_in_measure(
 
 @dataclass(frozen=True, eq=False)
 class CorollaryRow:
+    """One (eps, delta) row of corollary_crosscheck.
+
+    implication_b_observed equals cert_at_suite_passed by construction: a
+    finite family always has a net at eps, so (b) is observed exactly when
+    the certificate at (eps, delta) passes.  The field stays so the table's
+    (b) column and the set of row fields (which digests of rows hash) keep
+    their shape.
+    """
+
     eps: float
     delta: float
     eps_tilde: float

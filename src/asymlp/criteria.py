@@ -6,11 +6,14 @@ defects for shifts below some r, (iii) small superlevel measure above
 some cut M.  The classical unclamped analogues of (i) and (ii) are
 checked too, as a contrast diagnostic.
 
-Everything here is a finite certificate: witnesses come from a doubling
-scan plus bisection refinement and are re-verified by direct integration
-for every member; translation is quantified over a declared finite shift
-lattice, never over all real shifts; reports carry the family horizon K
-and all scan bounds so a "pass" can be read at face value.
+Everything here is a finite certificate; reports carry the family horizon
+K and all scan bounds so a "pass" can be read at face value.  Tail radii
+and level cuts come from one doubling-plus-bisection search (_search_up,
+also used for the truncation lift's cut): its witness is a candidate whose
+own all-member evaluation passed, and a pass detail reports that
+evaluation.  Translation is scanned over a declared finite shift lattice,
+never over all real shifts, and every shift of the passing prefix is then
+recomputed for every member with the same code.
 """
 from __future__ import annotations
 
@@ -166,11 +169,15 @@ def _search_up(
     threshold: float,
     first: float,
     bound: float,
+    floor: float | None = None,
 ):
     """Doubling candidates first, 2*first, ... <= bound; bisect after a pass.
 
-    Returns (witness or None, last_fail_eval, fail_eval_at_largest, evals)
-    where the eval tuples are (candidate, worst value, worst index).
+    The bisection runs from the last failing candidate, or from floor when
+    the first candidate already passes (no bisection when floor is None),
+    up to the passing one.  Returns (witness or None, worst value at the
+    witness, last_fail, evals) where last_fail is (candidate, worst value,
+    worst index).  The witness always passed its own all-member evaluation.
     """
     evals = 0
     cand = first
@@ -179,7 +186,7 @@ def _search_up(
         worst, idx = _worst(family, lambda m: valuator(m, cand))
         evals += 1
         if worst < threshold:
-            lo = last_fail[0] if last_fail is not None else None
+            lo = last_fail[0] if last_fail is not None else floor
             hi = cand
             if lo is not None:
                 for _ in range(_BISECT_STEPS):
@@ -187,29 +194,55 @@ def _search_up(
                     w, _ = _worst(family, lambda m: valuator(m, mid))
                     evals += 1
                     if w < threshold:
-                        hi = mid
+                        hi, worst = mid, w
                     else:
                         lo = mid
-            return hi, last_fail, evals
+            return hi, worst, last_fail, evals
         last_fail = (cand, worst, idx)
         cand *= 2.0
-    return None, last_fail, evals
+    return None, None, last_fail, evals
 
 
-def _reverify(
+def _search_condition(
     family: FamilySpec,
+    condition: str,
+    eps: float,
     valuator: Callable[[GridFunction, float], float],
     threshold: float,
-    witness: float,
-) -> float:
-    """Recompute the defining quantity for every member at the witness."""
-    worst, idx = _worst(family, lambda m: valuator(m, witness))
-    if not worst < threshold:
-        raise GridError(
-            f"witness {witness!r} failed re-verification on member {idx} "
-            f"({worst!r} >= {threshold!r})"
+    first: float,
+    bound: float,
+    words: tuple[str, str, str, str],
+) -> ConditionOutcome:
+    """Pass/fail outcome of one witness search.
+
+    words names, for the details: the searched quantity, its symbol, the
+    measured value and the pass label, e.g. ("cut", "M", "measure",
+    "worst superlevel measure").
+    """
+    witness, worst, last_fail, evals = _search_up(
+        family, valuator, threshold, first, bound
+    )
+    scan = {
+        "kind": "doubling+bisect",
+        "from": first,
+        "to": bound,
+        "evaluations": evals,
+        "threshold": threshold,
+    }
+    noun, symbol, quantity, label = words
+    if witness is None:
+        cand, worst, idx = last_fail if last_fail else (bound, math.inf, family.indices[0])
+        return ConditionOutcome(
+            condition, eps, "fail",
+            offender_index=idx, offending_value=worst,
+            detail=f"no {noun} up to {bound:.6g} works; {quantity} at {symbol}={cand:.6g}",
+            scan=scan,
         )
-    return worst
+    return ConditionOutcome(
+        condition, eps, "pass", witness=witness,
+        detail=f"{label} {worst:.6g} < {threshold:.6g}",
+        scan=scan,
+    )
 
 
 def _tail_horizon(family: FamilySpec, threshold: float, p: float, clamped: bool) -> float:
@@ -245,27 +278,9 @@ def _tail_condition(
     def valuator(m: GridFunction, R: float) -> float:
         return integrate_transformed(m, transform, Outside(R))
 
-    witness, last_fail, evals = _search_up(family, valuator, threshold, first, bound)
-    scan = {
-        "kind": "doubling+bisect",
-        "from": first,
-        "to": bound,
-        "evaluations": evals,
-        "threshold": threshold,
-    }
-    if witness is None:
-        cand, worst, idx = last_fail if last_fail else (bound, math.inf, family.indices[0])
-        return ConditionOutcome(
-            condition, eps, "fail",
-            offender_index=idx, offending_value=worst,
-            detail=f"no radius up to {bound:.6g} works; value at R={cand:.6g}",
-            scan=scan,
-        )
-    slack = _reverify(family, valuator, threshold, witness)
-    return ConditionOutcome(
-        condition, eps, "pass", witness=witness,
-        detail=f"worst member integral {slack:.6g} < {threshold:.6g}",
-        scan=scan,
+    return _search_condition(
+        family, condition, eps, valuator, threshold, first, bound,
+        ("radius", "R", "value", "worst member integral"),
     )
 
 
@@ -278,32 +293,9 @@ def check_level(family: FamilySpec, eps: float) -> ConditionOutcome:
     """Condition (iii): measure of {|f| > M} below eps for some scanned M."""
     if eps <= 0:
         raise GridError("eps must be positive")
-    bound = family.sup_abs() + 1.0
-
-    def valuator(m: GridFunction, M: float) -> float:
-        return superlevel_measure(m, M)
-
-    witness, last_fail, evals = _search_up(family, valuator, eps, 1.0, bound)
-    scan = {
-        "kind": "doubling+bisect",
-        "from": 1.0,
-        "to": bound,
-        "evaluations": evals,
-        "threshold": eps,
-    }
-    if witness is None:
-        cand, worst, idx = last_fail if last_fail else (bound, math.inf, family.indices[0])
-        return ConditionOutcome(
-            "level", eps, "fail",
-            offender_index=idx, offending_value=worst,
-            detail=f"no cut up to {bound:.6g} works; measure at M={cand:.6g}",
-            scan=scan,
-        )
-    slack = _reverify(family, valuator, eps, witness)
-    return ConditionOutcome(
-        "level", eps, "pass", witness=witness,
-        detail=f"worst superlevel measure {slack:.6g} < {eps:.6g}",
-        scan=scan,
+    return _search_condition(
+        family, "level", eps, superlevel_measure, eps, 1.0, family.sup_abs() + 1.0,
+        ("cut", "M", "measure", "worst superlevel measure"),
     )
 
 

@@ -42,16 +42,17 @@ def _parse_frac(s) -> Fraction:
 
 
 def _encode_values(values: np.ndarray) -> dict:
-    flat = [float(v) for v in values.ravel()]
-    runs: list[list] = []
-    for v in flat:
-        if runs and runs[-1][1] == v and not (v != v):
-            runs[-1][0] += 1
-        else:
-            runs.append([1, v])
-    if 2 * len(runs) < len(flat):
-        return {"encoding": "rle", "data": runs}
-    return {"encoding": "plain", "data": flat}
+    flat = values.ravel()
+    # Runs of equal bit patterns, so 0.0 and -0.0 stay apart.
+    bits = flat.view(np.uint64)
+    starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
+    if 2 * len(starts) < flat.size:
+        counts = np.diff(np.append(starts, flat.size))
+        return {
+            "encoding": "rle",
+            "data": [[c, v] for c, v in zip(counts.tolist(), flat[starts].tolist())],
+        }
+    return {"encoding": "plain", "data": flat.tolist()}
 
 
 def _decode_values(spec: dict, counts: tuple[int, ...]) -> np.ndarray:

@@ -7,6 +7,9 @@ constructive route through a level cut: members are truncated at a cut M
 whose superlevel measure is below (eta/2)**p, an unclamped (eta/2)-net is
 built on the truncated family, and the triangle inequality lifts it to an
 eta-net for the originals in the clamped metric — re-verified directly.
+The cut comes from the witness search of criteria (doubling from 2, then
+bisection down towards 1); when it lies below the largest power-law tail
+sup it is raised to that sup, since truncate refuses to cut into a tail.
 
 Every first-fit loop (greedy_net, covering_profile and the lift) runs
 through one core that skips a candidate center when an exact lower bound
@@ -39,6 +42,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
+from .criteria import _search_up
 from .families import FamilySpec
 from .grid import GridError, GridFunction
 from .norms import alpha_distance, lp_distance
@@ -74,8 +78,9 @@ class EpsNet:
     a truncated member for the lift); center_indices[j] is the family
     index it came from.  assignment[i] is the center position covering
     member i, distances[i] the recomputed clamped distance.  extras holds
-    the first-fit counts distances_computed and distances_pruned, plus the
-    level cut for the lift.
+    the first-fit counts distances_computed and distances_pruned; the lift
+    adds its level cut M, the budget, the worst superlevel measure at M and
+    the number of cut-search evaluations (level_evaluations).
     """
 
     eps: float
@@ -304,48 +309,40 @@ def covering_profile(
     return [sizes[K] for K in Ks]
 
 
-def _find_level_cut(family: FamilySpec, budget: float) -> tuple[float, float]:
-    """Smallest scanned M > 1 with all superlevel measures below the budget."""
-    bound = family.sup_abs() + 1.0
-    cand = 2.0
-    last_fail = None
-    while cand <= bound * (1.0 + 1e-12) or last_fail is None:
-        worst, idx = -math.inf, family.indices[0]
-        for i, m in zip(family.indices, family.members):
-            v = superlevel_measure(m, cand)
-            if v > worst:
-                worst, idx = v, i
-        if worst < budget:
-            lo = last_fail[0] if last_fail is not None else 1.0
-            hi = cand
-            for _ in range(8):
-                mid = 0.5 * (lo + hi)
-                if mid <= 1.0:
-                    break
-                w = max(superlevel_measure(m, mid) for m in family.members)
-                if w < budget:
-                    hi = mid
-                else:
-                    lo = mid
-            return hi, worst
-        last_fail = (cand, worst, idx)
-        if cand > bound:
-            break
-        cand *= 2.0
-    _, worst, idx = last_fail
-    raise LevelConditionError(
-        f"family violates the level condition at budget {budget:.6g}: "
-        f"member {idx} has superlevel measure {worst:.6g} at the largest "
-        f"scanned cut",
-        offender_index=idx,
-        offending_value=worst,
+def _find_level_cut(family: FamilySpec, budget: float) -> tuple[float, float, int]:
+    """Level cut M > 1 with every superlevel measure below the budget.
+
+    Returns (M, worst superlevel measure at M, evaluations).  A cut below
+    the largest tail sup is raised to it: truncate keeps a power-law tail
+    only under a cut that dominates it, and a higher cut only shrinks the
+    superlevel sets.
+    """
+    M, worst, last_fail, evals = _search_up(
+        family, superlevel_measure, budget, 2.0, max(family.sup_abs() + 1.0, 2.0),
+        floor=1.0,
     )
+    if M is None:
+        _, worst, idx = last_fail
+        raise LevelConditionError(
+            f"family violates the level condition at budget {budget:.6g}: "
+            f"member {idx} has superlevel measure {worst:.6g} at the largest "
+            f"scanned cut",
+            offender_index=idx,
+            offending_value=worst,
+        )
+    tail_sup = max(m.tail.sup() for m in family.members)
+    if M < tail_sup:
+        M = tail_sup
+        worst = max(superlevel_measure(m, M) for m in family.members)
+        evals += 1
+    return M, worst, evals
 
 
 def truncation_lift_net(family: FamilySpec, eta: float) -> EpsNet:
     """Constructive eta-net via truncation at a level cut.
 
-    (1) find M > 1 with |{|f| > M}| < (eta/2)**p for every member;
+    (1) find M > 1 with |{|f| > M}| < (eta/2)**p for every member, and
+        at least every member's tail sup;
     (2) truncate every member at M — the clamped distance to the original
         is then below eta/2, since the difference lives on the superlevel set;
     (3) build a greedy (eta/2)-net on the truncated family in the
@@ -357,7 +354,7 @@ def truncation_lift_net(family: FamilySpec, eta: float) -> EpsNet:
         raise GridError("eta must be positive")
     p = family.p
     budget = (eta / 2.0) ** p
-    M, worst_level = _find_level_cut(family, budget)
+    M, worst_level, level_evals = _find_level_cut(family, budget)
     truncated = [truncate(m, M) for m in family.members]
     fit = _FirstFit(eta / 2.0, p, AbsPower(p), lambda a, b: lp_distance(a, b, p))
     center_pos, assignment, _ = _greedy(truncated, fit)
@@ -385,6 +382,7 @@ def truncation_lift_net(family: FamilySpec, eta: float) -> EpsNet:
             "M": M,
             "level_budget": budget,
             "worst_level_measure": worst_level,
+            "level_evaluations": level_evals,
             **fit.counts(),
         },
     )

@@ -52,6 +52,15 @@ class TestTailCondition:
         )
         assert worst < 0.5
 
+    def test_pass_detail_is_measured_at_the_witness(self):
+        fam = a.u_family(12, 1.0)
+        out = a.check_tail(fam, 0.5)
+        worst = max(
+            a.integrate_transformed(m, a.ClampPower(1.0), a.Outside(out.witness))
+            for m in fam.members
+        )
+        assert out.detail == f"worst member integral {worst:.6g} < 0.5"
+
     def test_tighter_eps_needs_larger_radius(self):
         fam = a.u_family(12, 1.0)
         r1 = a.check_tail(fam, 0.5).witness
@@ -71,6 +80,13 @@ class TestLevelCondition:
         out = a.check_level(fam, 0.5)
         assert out.verdict == "fail"
         assert out.offending_value == 1.0
+
+    def test_pass_detail_is_measured_at_the_witness(self):
+        fam = a.spike_family(12)
+        out = a.check_level(fam, 0.25)
+        assert out.verdict == "pass"
+        worst = max(a.superlevel_measure(m, out.witness) for m in fam.members)
+        assert out.detail == f"worst superlevel measure {worst:.6g} < 0.25"
 
     def test_level_scan_bounded_by_sup(self):
         fam = a.f_family(100, 1.0)

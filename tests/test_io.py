@@ -29,6 +29,11 @@ class TestFunctionRoundTrip:
         g = a.function_from_dict(d)
         assert np.array_equal(g.values, f.values)
 
+    def test_signed_zeros_round_trip(self):
+        f = a.grid_function((F(0), F(1)), F(1, 8), [0.0, -0.0, 0, 0, 0, 0, 1, 1])
+        g = a.function_from_dict(a.function_to_dict(f))
+        assert g.values.view(np.uint64).tolist() == f.values.view(np.uint64).tolist()
+
     def test_plain_used_for_distinct_values(self):
         f = a.grid_function((F(0), F(1)), F(1, 4), [1.0, 2.0, 3.0, 4.0])
         assert a.function_to_dict(f)["values"]["encoding"] == "plain"

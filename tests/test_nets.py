@@ -132,6 +132,28 @@ class TestTruncationLift:
         net = a.truncation_lift_net(fam, 0.5)
         assert net.size <= len(fam)
 
+    def test_worst_level_measure_is_measured_at_the_cut(self):
+        fam = a.v_family(16, 2.0)
+        # doubling cuts from 2 up to the first that passes, then 8 bisection steps
+        for eta, evaluations in ((1.0, 2 + 8), (0.5, 4 + 8)):
+            net = a.truncation_lift_net(fam, eta)
+            M = net.extras["M"]
+            worst = max(a.superlevel_measure(m, M) for m in fam.members)
+            assert net.extras["worst_level_measure"] == worst
+            assert worst < net.extras["level_budget"]
+            assert net.extras["level_evaluations"] == evaluations
+
+    def test_cut_rises_to_the_tail_sup(self):
+        # the superlevel sets already fit the budget below M = 2, but the
+        # tail 2*x**-1.5 from x = 1 cannot be truncated under its sup 2
+        tail = a.TailSpec.power_law(2.0, 1.5, 1)
+        f = a.grid_function((F(-1), F(1)), F(1, 2), [0.0] * 4, tail)
+        fam = a.FamilySpec(name="tail", p=1.0, members=(f,), indices=(1,))
+        for eta in (1.0, 0.5):
+            net = a.truncation_lift_net(fam, eta)
+            assert net.extras["M"] == 2.0
+            assert a.verify_covering(fam, net).passed
+
 
 def _comparisons(centers, assignment, _distances) -> int:
     """First-fit comparisons: a new center meets every earlier one, a hit stops."""

@@ -393,7 +393,7 @@ class TestPrunedNets:
 
     @given(st.data())
     def test_truncation_lift_matches_plain_first_fit(self, data):
-        fam = data.draw(_net_families(tail_sups=(0.25, 0.5, 1.0)))  # cut M > 1 keeps tails
+        fam = data.draw(_net_families())
         eta = data.draw(_net_eps(fam))
         p = fam.p
         try:
