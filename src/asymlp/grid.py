@@ -5,6 +5,13 @@ in one dimension, may continue past the right box edge with an analytic
 power-law tail c * x**(-alpha).  Box endpoints and spacings are stored as
 exact fractions so that cell edges, refinements and set measures never
 accumulate floating point error; only cell values are floats.
+
+One check that each box side is a whole number of cells serves every
+geometry.  One embedding, ``_embed``, puts cells on a finer or larger
+lattice for ``add``/``subtract``, MeasurableSet algebra (on boolean masks),
+``refine`` and ``pad_to_box``, and checks the one cell budget, MAX_CELLS,
+before it allocates.  The tail rule of a sum or difference,
+``_combine_tails``, also serves the quadrature module.
 """
 from __future__ import annotations
 
@@ -39,7 +46,7 @@ __all__ = [
 
 FractionLike = Union[Fraction, int, float, str]
 
-# Refuse to materialise refinements beyond this many cells.
+# Refuse to materialise a lattice of more than this many cells.
 MAX_CELLS = 50_000_000
 
 
@@ -210,6 +217,49 @@ def _normalize_spacing(spacing, dim: int) -> tuple[Fraction, ...]:
     return hs
 
 
+def _cell_counts(box, spacing) -> tuple[int, ...]:
+    """Cells per axis; each box side must be a whole number of cells."""
+    counts = []
+    for (a, b), h in zip(box, spacing):
+        n = (b - a) / h
+        if n.denominator != 1:
+            raise GridError(f"box length {b - a} is not a multiple of spacing {h}")
+        counts.append(int(n))
+    return tuple(counts)
+
+
+def _embed(values: np.ndarray, box, spacing, target_box, target_spacing) -> np.ndarray:
+    """Cells on (box, spacing) written into zeros on the target grid, any dtype.
+
+    The target spacing must divide the spacing, box must sit inside target_box
+    on the target lattice, and the target must fit MAX_CELLS before allocation.
+    """
+    if len(target_box) != len(box):
+        raise IncompatibleGridsError("dimension mismatch")
+    counts, slices, factors = [], [], []
+    for (a, b), h, (ta, tb), th in zip(box, spacing, target_box, target_spacing):
+        ratio = h / th
+        if ratio.denominator != 1:
+            raise IncompatibleGridsError(f"{th} does not divide spacing {h}")
+        if ta > a or tb < b:
+            raise GridError("target box must contain the current box")
+        lo, n = (a - ta) / th, (tb - ta) / th
+        if lo.denominator != 1 or n.denominator != 1:
+            raise IncompatibleGridsError("target box is off the cell lattice")
+        counts.append(int(n))
+        factors.append(int(ratio))
+        slices.append(slice(int(lo), int(lo + (b - a) / th)))
+    cells = math.prod(counts)
+    if cells > MAX_CELLS:
+        raise GridError(f"{cells} cells exceed the cell budget of {MAX_CELLS}")
+    for axis, r in enumerate(factors):
+        if r != 1:
+            values = np.repeat(values, r, axis=axis)
+    out = np.zeros(counts, dtype=values.dtype)
+    out[tuple(slices)] = values
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class GridFunction:
     """A real function that is constant on each cell of a uniform grid.
@@ -229,14 +279,7 @@ class GridFunction:
         spacing = _normalize_spacing(self.spacing, len(box))
         object.__setattr__(self, "spacing", spacing)
 
-        counts = []
-        for (a, b), h in zip(box, spacing):
-            n = (b - a) / h
-            if n.denominator != 1:
-                raise GridError(f"box length {b - a} is not a multiple of spacing {h}")
-            counts.append(int(n))
-        counts = tuple(counts)
-
+        counts = _cell_counts(box, spacing)
         values = np.asarray(self.values, dtype=np.float64)
         if values.shape == (int(np.prod(counts)),) and len(counts) > 1:
             values = values.reshape(counts)
@@ -337,36 +380,13 @@ class GridFunction:
     def refine(self, new_spacing) -> "GridFunction":
         """Exact refinement onto a spacing that divides the current one."""
         hs = _normalize_spacing(new_spacing, self.dim)
-        values = self.values
-        for axis, (h_old, h_new) in enumerate(zip(self.spacing, hs)):
-            ratio = h_old / h_new
-            if ratio.denominator != 1:
-                raise IncompatibleGridsError(f"{h_new} does not divide spacing {h_old}")
-            r = int(ratio)
-            if r != 1:
-                if values.size * r > MAX_CELLS:
-                    raise GridError("refinement exceeds the cell budget")
-                values = np.repeat(values, r, axis=axis)
+        values = _embed(self.values, self.box, self.spacing, self.box, hs)
         return GridFunction(self.box, hs, values, self.tail)
 
     def pad_to_box(self, box) -> "GridFunction":
         """Extend with zero cells to a larger box on the same lattice."""
         new_box = _normalize_box(box)
-        values = self.values
-        for axis, ((a_old, b_old), (a_new, b_new), h) in enumerate(
-            zip(self.box, new_box, self.spacing)
-        ):
-            if a_new > a_old or b_new < b_old:
-                raise GridError("pad_to_box target must contain the current box")
-            lo = (a_old - a_new) / h
-            hi = (b_new - b_old) / h
-            if lo.denominator != 1 or hi.denominator != 1:
-                raise IncompatibleGridsError("target box is off the cell lattice")
-            if int(hi) > 0 and self.tail.kind == "power_law":
-                raise GridError("cannot pad past a power-law onset")
-            pad = [(0, 0)] * self.dim
-            pad[axis] = (int(lo), int(hi))
-            values = np.pad(values, pad)
+        values = _embed(self.values, self.box, self.spacing, new_box, self.spacing)
         return GridFunction(new_box, self.spacing, values, self.tail)
 
 
@@ -377,8 +397,7 @@ def grid_function(box, spacing, values, tail: TailSpec = ZERO_TAIL) -> GridFunct
 def constant(c: float, box, spacing) -> GridFunction:
     nb = _normalize_box(box)
     hs = _normalize_spacing(spacing, len(nb))
-    counts = tuple(int((b - a) / h) for (a, b), h in zip(nb, hs))
-    return GridFunction(nb, hs, np.full(counts, float(c)))
+    return GridFunction(nb, hs, np.full(_cell_counts(nb, hs), float(c)))
 
 
 def sample(fn: Callable, box, spacing, tail: TailSpec = ZERO_TAIL) -> GridFunction:
@@ -386,8 +405,8 @@ def sample(fn: Callable, box, spacing, tail: TailSpec = ZERO_TAIL) -> GridFuncti
     nb = _normalize_box(box)
     hs = _normalize_spacing(spacing, len(nb))
     mids = [
-        np.array([float(a + h * i + h / 2) for i in range(int((b - a) / h))])
-        for (a, b), h in zip(nb, hs)
+        np.array([float(a + h * i + h / 2) for i in range(n)])
+        for (a, _), h, n in zip(nb, hs, _cell_counts(nb, hs))
     ]
     if len(nb) == 1:
         values = np.array([fn(x) for x in mids[0]])
@@ -400,8 +419,9 @@ def sample(fn: Callable, box, spacing, tail: TailSpec = ZERO_TAIL) -> GridFuncti
 # exact combination of two functions
 # ---------------------------------------------------------------------------
 
-def _combined_geometry(f: GridFunction, g: GridFunction):
-    """Union box and common spacing on which both cell lattices embed."""
+def _combined_geometry(f, g):
+    """Union box and common spacing on which both cell lattices embed
+    (of two GridFunctions or two MeasurableSets)."""
     if f.dim != g.dim:
         raise IncompatibleGridsError("dimension mismatch")
     box = []
@@ -443,25 +463,8 @@ def _combine_tails(f: GridFunction, g: GridFunction, op: str) -> TailSpec:
 def _binary(f: GridFunction, g: GridFunction, op: str) -> GridFunction:
     tail = _combine_tails(f, g, op)
     box, spacing = _combined_geometry(f, g)
-    cells = 1
-    for (a, b), h in zip(box, spacing):
-        cells *= int((b - a) / h)
-    if cells > MAX_CELLS:
-        raise GridError("combination exceeds the cell budget; use sweeping integrals")
-
-    def embed(u: GridFunction) -> np.ndarray:
-        tgt_box = list(box)
-        if u.tail.kind == "power_law":
-            # keep the onset at u's own right edge: the union box cannot
-            # extend past it (checked above), so the right edge matches.
-            tgt_box[0] = (box[0][0], u.box[0][1])
-        ref = u.refine(spacing)
-        padded = ref.pad_to_box(tuple(tgt_box))
-        return padded.values
-
-    va, vb = embed(f), embed(g)
-    out = va + vb if op == "add" else va - vb
-    return GridFunction(box, spacing, out, tail)
+    va, vb = (_embed(u.values, u.box, u.spacing, box, spacing) for u in (f, g))
+    return GridFunction(box, spacing, va + vb if op == "add" else va - vb, tail)
 
 
 def add(f: GridFunction, g: GridFunction) -> GridFunction:
@@ -492,7 +495,7 @@ class MeasurableSet:
         object.__setattr__(self, "box", box)
         spacing = _normalize_spacing(self.spacing, len(box))
         object.__setattr__(self, "spacing", spacing)
-        counts = tuple(int((b - a) / h) for (a, b), h in zip(box, spacing))
+        counts = _cell_counts(box, spacing)
         mask = np.asarray(self.mask, dtype=bool)
         if mask.shape != counts:
             raise GridError(f"mask shape {mask.shape} does not match cell counts {counts}")
@@ -541,10 +544,7 @@ class MeasurableSet:
             for e in (lo - a, hi - a):
                 if (e / h).denominator != 1:
                     raise GridError(f"interval endpoint {e + a} off the {h} lattice")
-        n = (b - a) / h
-        if n.denominator != 1:
-            raise GridError("interval hull is not a whole number of cells")
-        mask = np.zeros(int(n), dtype=bool)
+        mask = np.zeros(_cell_counts(((a, b),), (h,)), dtype=bool)
         for lo, hi in ivs:
             mask[int((lo - a) / h) : int((hi - a) / h)] = True
         return cls(((a, b),), (h,), mask)
@@ -552,14 +552,9 @@ class MeasurableSet:
     def _aligned(self, other: "MeasurableSet"):
         if not (self.is_bounded and other.is_bounded):
             raise GridError("set algebra requires bounded sets")
-        box, spacing = _combined_geometry(
-            GridFunction(self.box, self.spacing, self.mask.astype(float)),
-            GridFunction(other.box, other.spacing, other.mask.astype(float)),
-        )
-        def embed(s: "MeasurableSet") -> np.ndarray:
-            gf = GridFunction(s.box, s.spacing, s.mask.astype(float))
-            return gf.refine(spacing).pad_to_box(box).values > 0.5
-        return box, spacing, embed(self), embed(other)
+        box, spacing = _combined_geometry(self, other)
+        a, b = (_embed(s.mask, s.box, s.spacing, box, spacing) for s in (self, other))
+        return box, spacing, a, b
 
     def union(self, other: "MeasurableSet") -> "MeasurableSet":
         box, spacing, a, b = self._aligned(other)

@@ -6,6 +6,12 @@ Interval measures are accumulated as exact integers on a common rational
 lattice and converted to float once per distinct transformed value, so
 results carry a single rounding per value group.
 
+In one dimension one sweep, ``_sweep``, gives the grid part of the
+integral of T(f(x + y) - g(x)); ``integrate_transformed``,
+``difference_integral``, ``translation_defect`` and the exact part of
+``translation_defect_bounds`` call it.  The tail of f - g follows
+``grid._combine_tails``.  Two dimensions go through ``grid.subtract``.
+
 That conversion is one IEEE division when the lattice scale and every
 grouped integer sum are below 2**53: both are then exact doubles and the
 quotient is correctly rounded, the same float ``Fraction`` gives.  Larger
@@ -29,7 +35,11 @@ from .grid import (
     IncompatibleGridsError,
     MeasurableSet,
     TailSpec,
+    _combine_tails,
     as_fraction,
+    clamped_power_tail_integral,
+    power_tail_integral,
+    subtract,
 )
 
 __all__ = [
@@ -242,6 +252,27 @@ def _reduce_region(
     raise GridError(f"unknown region {region!r}")
 
 
+def _sweep(f: GridFunction, transform: Transform, region: Region, g=None, shift=0):
+    """Grid part of the integral of T(f(x + shift) - g(x)) over a 1-d region.
+
+    Tails are ignored and a g of None reads as zero.  Operands, shift and
+    window bounds share one integer lattice, the lcm of their denominators.
+    """
+    fracs = [f.box[0][0], f.spacing[0], shift]
+    if g is not None:
+        fracs += [g.box[0][0], g.spacing[0]]
+    if isinstance(region, Window):
+        fracs += [as_fraction(b) for b in (region.lo, region.hi) if b is not None]
+    scale = _scale_for(*fracs)
+    pw = _pw_of(f, scale, shift=-shift)
+    if g is None:
+        left, lengths, values = pw.edges[:-1], pw.edges[1:] - pw.edges[:-1], pw.values
+    else:
+        left, lengths, vf, vg = _merge(pw, _pw_of(g, scale))
+        values = vf - vg
+    return _reduce_region(_apply(transform, values), left, lengths, scale, region)
+
+
 # ---------------------------------------------------------------------------
 # tail contributions
 # ---------------------------------------------------------------------------
@@ -325,20 +356,6 @@ def _degenerate_threshold(transform: Transform, region: Region) -> float | None:
     return math.inf
 
 
-def _grid_integral_1d(f: GridFunction, transform: Transform, region: Region) -> float:
-    extra = []
-    if isinstance(region, Window):
-        for b in (region.lo, region.hi):
-            if b is not None:
-                extra.append(as_fraction(b))
-    scale = _scale_for(f.box[0][0], f.spacing[0], *extra)
-    pw = _pw_of(f, scale)
-    left = pw.edges[:-1]
-    lengths = pw.edges[1:] - left
-    tvals = _apply(transform, pw.values)
-    return _reduce_region(tvals, left, lengths, scale, region)
-
-
 def _cell_masses(tvals: np.ndarray, vol: Fraction) -> float:
     """Sum of tvals over cells of volume vol, grouped per distinct value."""
     flat = tvals.ravel()
@@ -395,24 +412,8 @@ def integrate_transformed(f: GridFunction, transform: Transform, region: Region 
     if tail == math.inf:
         return math.inf
     if f.dim == 1:
-        return _grid_integral_1d(f, transform, region) + tail
+        return _sweep(f, transform, region) + tail
     return _grid_integral_2d(f, transform, region) + tail
-
-
-def _difference_tail(f: GridFunction, g: GridFunction) -> TailSpec:
-    tf, tg = f.tail, g.tail
-    if tf == tg:
-        return TailSpec.zero()
-    if tf.is_zero or tg.is_zero:
-        live_f, dead_f = (f, g) if tg.is_zero else (g, f)
-        if dead_f.box[0][1] > live_f.box[0][1]:
-            raise IncompatibleGridsError(
-                "zero-tail operand extends past the power-law onset"
-            )
-        return live_f.tail
-    raise IncompatibleGridsError(
-        f"difference of distinct power-law tails {tf} and {tg} is not representable"
-    )
 
 
 def difference_integral(
@@ -422,25 +423,16 @@ def difference_integral(
     if f.dim != g.dim:
         raise IncompatibleGridsError("dimension mismatch")
     if f.dim == 2:
-        from .grid import subtract
-
         return integrate_transformed(subtract(f, g), transform, region)
     degenerate = _degenerate_threshold(transform, region)
     if degenerate is not None:
         return degenerate
-    tail = _difference_tail(f, g)
+    # T acts on |f - g|, so the live-tail operand may go first
+    tail = _combine_tails(*((g, f) if f.tail.is_zero else (f, g)), "sub")
     tail_term = _tail_part(tail, transform, region)
     if tail_term == math.inf:
         return math.inf
-    extra = []
-    if isinstance(region, Window):
-        extra += [as_fraction(b) for b in (region.lo, region.hi) if b is not None]
-    scale = _scale_for(
-        f.box[0][0], f.spacing[0], g.box[0][0], g.spacing[0], *extra
-    )
-    left, lengths, vf, vg = _merge(_pw_of(f, scale), _pw_of(g, scale))
-    tvals = _apply(transform, vf - vg)
-    return _reduce_region(tvals, left, lengths, scale, region) + tail_term
+    return _sweep(f, transform, region, g) + tail_term
 
 
 def translation_defect(
@@ -457,16 +449,7 @@ def translation_defect(
     degenerate = _degenerate_threshold(transform, window)
     if degenerate is not None:
         return degenerate
-    dy = as_fraction(y)
-    extra = [dy]
-    if window is not None:
-        extra += [as_fraction(b) for b in (window.lo, window.hi) if b is not None]
-    scale = _scale_for(f.box[0][0], f.spacing[0], *extra)
-    base = _pw_of(f, scale)
-    shifted = _pw_of(f, scale, shift=-dy)
-    left, lengths, vs, vb = _merge(shifted, base)
-    tvals = _apply(transform, vs - vb)
-    return _reduce_region(tvals, left, lengths, scale, window)
+    return _sweep(f, transform, window, g=f, shift=as_fraction(y))
 
 
 def translation_defect_bounds(
@@ -484,9 +467,12 @@ def translation_defect_bounds(
         d = translation_defect(f, dy, transform)
         return d, d
     L = f.box[0][1]
-    exact_hi = min(L, L - dy)  # both x and x+y on the grid side below this
-    view = GridFunction(f.box, f.spacing, f.values)  # tail dropped: exact below window
-    exact = translation_defect(view, dy, transform, window=Window(None, exact_hi))
+    # below min(L, L - y) both x and x + y lie on the grid side: the sweep,
+    # which reads no tail, is exact there
+    below = Window(None, min(L, L - dy))
+    exact = _degenerate_threshold(transform, below)
+    if exact is None:
+        exact = _sweep(f, transform, below, g=f, shift=dy)
 
     # On the strip of width |y| at the onset, both arguments lie within
     # |y| of the onset, so |f(x+y) - f(x)| is at most twice the local sup.
@@ -500,12 +486,8 @@ def translation_defect_bounds(
     amp = c * a * abs(float(dy))
     onset = float(f.tail.onset)
     if isinstance(transform, AbsPower):
-        from .grid import power_tail_integral
-
         tail_term = power_tail_integral(amp, a + 1.0, onset, transform.p)
     elif isinstance(transform, ClampPower):
-        from .grid import clamped_power_tail_integral
-
         tail_term = clamped_power_tail_integral(amp, a + 1.0, onset, transform.p)
     else:
         level = transform.level

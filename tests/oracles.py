@@ -129,6 +129,13 @@ def first_fit(members, eps: float, metric):
     return centers, assignment, distances
 
 
+def cell_value(start, h, cells, x):
+    """cells[i] for the cell [start + i*h, start + (i+1)*h) holding the
+    Fraction x, or 0.0 off the grid."""
+    i = math.floor((x - start) / h)
+    return cells[i] if 0 <= i < len(cells) else 0.0
+
+
 def exact_sweep_1d(f, g, T, lo=None, hi=None, shift=Fraction(0)) -> Fraction:
     """Exact integral of T(f(x + shift) - g(x)) over lo <= x < hi.
 
@@ -156,16 +163,13 @@ def exact_sweep_1d(f, g, T, lo=None, hi=None, shift=Fraction(0)) -> Fraction:
         points.add(Fraction(hi))
     points = sorted(points)
 
-    def value(operand, x):
-        a, h, vals = operand
-        i = math.floor((x - a) / h)
-        return vals[i] if 0 <= i < len(vals) else 0.0
-
     total = Fraction(0)
     for x0, x1 in zip(points, points[1:]):
         if (lo is not None and x0 < lo) or (hi is not None and x1 > hi):
             continue
         mid = (x0 + x1) / 2
-        d = value(operands[0], mid) - (value(operands[1], mid) if g is not None else 0.0)
+        d = cell_value(*operands[0], mid)
+        if g is not None:
+            d -= cell_value(*operands[1], mid)
         total += (x1 - x0) * T(d)
     return total

@@ -124,6 +124,16 @@ class TestAlgebra:
         d = a.subtract(f, g)
         assert d.tail == f.tail
 
+    def test_zero_coefficient_tail_combines_past_its_onset(self):
+        # f vanishes past its onset, so g may extend beyond it
+        f = a.grid_function((F(-1), F(1)), F(1, 2), [0.0] * 4,
+                            a.TailSpec.power_law(0.0, 1.0, 1))
+        g = a.constant(1.0, (F(0), F(2)), F(1, 2))
+        for s in (a.add(f, g), a.subtract(g, f)):
+            assert s.box == ((F(-1), F(2)),)
+            assert s.tail.is_zero
+            assert list(s.values) == [0.0, 0.0, 1.0, 1.0, 1.0, 1.0]
+
     def test_offset_grids_align_on_gcd(self):
         f = a.constant(1.0, (F(0), F(1)), F(1, 2))
         g = a.constant(1.0, (F(1, 3), F(4, 3)), F(1, 2))
@@ -143,6 +153,21 @@ class TestAlgebra:
         with pytest.raises(a.GridError):
             f.refine(F(1, 3))
 
+    def test_cell_budget_is_checked_before_allocation(self, monkeypatch):
+        monkeypatch.setattr("asymlp.grid.MAX_CELLS", 64)
+        f = a.constant(1.0, (F(0), F(1)), F(1, 8))
+        assert f.pad_to_box((F(-7), F(1))).counts == (64,)
+        with pytest.raises(a.GridError, match="budget"):
+            f.pad_to_box((F(-100), F(1)))
+        with pytest.raises(a.GridError, match="budget"):
+            f.refine(F(1, 128))
+        with pytest.raises(a.GridError, match="budget"):
+            a.add(f, a.constant(1.0, (F(99), F(100)), F(1, 8)))
+        A = a.MeasurableSet.from_intervals([(F(0), F(1))], F(1, 8))
+        B = a.MeasurableSet.from_intervals([(F(99), F(100))], F(1, 8))
+        with pytest.raises(a.GridError, match="budget"):
+            A.union(B)
+
     def test_pad_to_box(self):
         f = a.constant(1.0, (F(0), F(1)), F(1, 2))
         g = f.pad_to_box((F(-1), F(2)))
@@ -150,6 +175,8 @@ class TestAlgebra:
         assert g.value_at(-0.5) == 0.0
         assert g.value_at(0.5) == 1.0
         assert a.alpha_norm(g, 1.0) == a.alpha_norm(f, 1.0)
+        with pytest.raises(a.GridError):  # a power-law onset stays put
+            a.family_v(4, 2.0).pad_to_box((F(-2), F(2)))
 
 
 class TestMeasurableSet:
@@ -157,6 +184,11 @@ class TestMeasurableSet:
         E = a.MeasurableSet.from_intervals([(F(0), F(1, 2)), (F(1), F(3, 2))], F(1, 4))
         assert E.measure() == 1.0
         assert E.measure_fraction() == F(1)
+
+    def test_box_must_be_whole_cells(self):
+        # 2/5 as a float is not exactly 2/5, so [0, 1] is not two cells
+        with pytest.raises(a.GridError, match="multiple"):
+            a.MeasurableSet(((0, 1),), (2 / 5,), np.ones(2))
 
     def test_boolean_algebra(self):
         A = a.MeasurableSet.from_intervals([(F(0), F(1))], F(1, 4))

@@ -301,6 +301,72 @@ class TestExactSweep:
 
 
 # ---------------------------------------------------------------------------
+# the materialised common lattice against pointwise Fraction lookups
+# ---------------------------------------------------------------------------
+
+def _operand(fn, cells):
+    """(start, spacing, cells) of a 1-d grid, as oracles.cell_value reads it."""
+    return fn.box[0][0], fn.spacing[0], cells
+
+
+def _pieces(*operands):
+    """Neighbouring breakpoints over all cell edges of the operands."""
+    points = sorted({a + i * h for a, h, cells in operands for i in range(len(cells) + 1)})
+    return list(zip(points, points[1:]))
+
+
+@st.composite
+def _lattice_set(draw, den):
+    """Bounded 1-d set whose box starts on the lattice 1/den."""
+    h = F(draw(st.integers(1, 3)), den)
+    n = draw(st.integers(1, 10))
+    start = F(draw(st.integers(-4 * den, 4 * den)), den)
+    mask = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return a.MeasurableSet(((start, start + n * h),), (h,), mask)
+
+
+_SET_OPS = {
+    "union": lambda x, y: x or y,
+    "intersection": lambda x, y: x and y,
+    "difference": lambda x, y: x and not y,
+    "symmetric_difference": lambda x, y: x != y,
+}
+
+
+class TestCommonLattice:
+    @given(_coprime_pair(), st.sampled_from(("add", "subtract")))
+    def test_cell_values_are_pointwise_sums(self, fg, op):
+        f, g = fg
+        s = getattr(a, op)(f, g)
+        (lo, hi), = s.box
+        assert lo == min(f.box[0][0], g.box[0][0])
+        assert hi == max(f.box[0][1], g.box[0][1])
+        fo, go = _operand(f, f.values.tolist()), _operand(g, g.values.tolist())
+        h = s.spacing[0]
+        for i, got in enumerate(s.values.tolist()):
+            mid = lo + (i + F(1, 2)) * h
+            fv, gv = oracles.cell_value(*fo, mid), oracles.cell_value(*go, mid)
+            assert got == (fv + gv if op == "add" else fv - gv)
+
+    @given(_coprime_pair(), _TRANSFORMS)
+    def test_materialised_difference_matches_the_sweep_bit_for_bit(self, fg, t):
+        f, g = fg
+        want = a.difference_integral(f, g, t)
+        assert a.integrate_transformed(a.subtract(f, g), t).hex() == want.hex()
+
+    @given(st.data(), st.sampled_from(sorted(_SET_OPS)))
+    def test_set_algebra_measures_are_exact_cell_counts(self, data, op):
+        A, B = (data.draw(_lattice_set(data.draw(st.sampled_from(_PRIMES)))) for _ in range(2))
+        ao, bo = _operand(A, A.mask.tolist()), _operand(B, B.mask.tolist())
+        want = F(0)
+        for x0, x1 in _pieces(ao, bo):
+            mid = (x0 + x1) / 2
+            if _SET_OPS[op](bool(oracles.cell_value(*ao, mid)), bool(oracles.cell_value(*bo, mid))):
+                want += x1 - x0
+        assert getattr(A, op)(B).measure_fraction() == want
+
+
+# ---------------------------------------------------------------------------
 # pruned first-fit nets against the plain first-fit loop
 # ---------------------------------------------------------------------------
 

@@ -110,6 +110,14 @@ class TestOracleAgreement:
         want = oracles.brute_distance_1d(v4, v6, 2.0, clamp=True)
         assert got == pytest.approx(want, abs=1e-12)
 
+    def test_live_tail_on_either_side(self):
+        v = a.family_v(4, 2.0)
+        g = a.constant(1.0, (F(-1), F(1)), F(1, 2))
+        t = a.ClampPower(2.0)
+        want = a.integrate_transformed(a.subtract(v, g), t)
+        assert a.difference_integral(v, g, t) == want
+        assert a.difference_integral(g, v, t) == want
+
     def test_difference_with_incompatible_tails_rejected(self):
         v = a.family_v(4, 2.0)
         w = a.grid_function((F(-1), F(1)), F(1, 2), [0.0] * 4,
@@ -171,6 +179,19 @@ class TestTranslationDefect:
         ref = a.translation_defect(ext, y, a.ClampPower(2.0))
         assert ref <= hi + 1e-9
         assert lo <= ref + 1e-6  # lo is the exact below-onset part
+
+    def test_bounds_lower_end_is_the_exact_below_onset_defect(self):
+        transforms = (a.ClampPower(2.0), a.AbsPower(2.0), a.Threshold(0.5))
+        for v in a.v_family(4, 2.0).members:
+            L = v.box[0][1]
+            grid_part = a.grid_function(v.box, v.spacing, v.values)
+            for y in (F(1, 64), F(-1, 64), F(3, 64), F(-3, 64)):
+                below = a.Window(None, min(L, L - y))
+                for t in transforms:
+                    lo, hi = a.translation_defect_bounds(v, y, t)
+                    assert lo.hex() == a.translation_defect(grid_part, y, t, below).hex()
+                    assert lo <= hi
+                assert a.translation_defect_bounds(v, y, a.Threshold(-0.5)) == (math.inf, math.inf)
 
     def test_defect_with_window_and_negative_level(self):
         f = box_fn([2.0, 0.0, 1.0, 0.5])
