@@ -11,11 +11,15 @@ produce the same lines exactly when their outputs are byte-identical:
     diff before.txt after.txt
 
 The outputs are deterministic, so any difference is a changed result.  A
-full run takes about half a minute.
+full run takes about half a minute.  ``--strip-key KEY`` digests every
+``--out`` file with KEY removed from each JSON object, so two checkouts
+that differ only in, say, the ``scan`` counters give the same lines.
 """
+import argparse
 import contextlib
 import hashlib
 import io
+import json
 import runpy
 import sys
 import tempfile
@@ -68,7 +72,19 @@ def _captured(fn) -> tuple[int, bytes]:
     return status, buf.getvalue().encode()
 
 
-def main() -> int:
+def _without(doc, key: str):
+    if isinstance(doc, dict):
+        return {k: _without(v, key) for k, v in doc.items() if k != key}
+    if isinstance(doc, list):
+        return [_without(v, key) for v in doc]
+    return doc
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--strip-key", metavar="KEY",
+                        help="drop KEY from every JSON object of the --out files")
+    args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         for i, (label, argv) in enumerate(INVOCATIONS):
             out = Path(tmp) / f"{i}.json"
@@ -78,7 +94,11 @@ def main() -> int:
             stdout = stdout.replace(str(out).encode(), b"OUT")
             print(f"{_digest(stdout)}  {status}  {label}: stdout")
             if out.exists():
-                print(f"{_digest(out.read_bytes())}  {status}  {label}: --out")
+                data = out.read_bytes()
+                if args.strip_key:
+                    doc = _without(json.loads(data), args.strip_key)
+                    data = json.dumps(doc, indent=2).encode()
+                print(f"{_digest(data)}  {status}  {label}: --out")
     for name in SCRIPTS:
         script_main = runpy.run_path(str(ROOT / "scripts" / name))["main"]
         status, stdout = _captured(lambda: script_main([]))

@@ -12,8 +12,11 @@ and level cuts come from one doubling-plus-bisection search (_search_up,
 also used for the truncation lift's cut): its witness is a candidate whose
 own all-member evaluation passed, and a pass detail reports that
 evaluation.  Translation is scanned over a declared finite shift lattice,
-never over all real shifts, and every shift of the passing prefix is then
-recomputed for every member with the same code.
+never over all real shifts, in doubling blocks of magnitudes, each member
+through the batched ``translation_profile``.  The worst member at every
+scanned shift, the offender included, is then recounted on the per-shift
+sweep, which shares no merge with the batch; any difference raises
+GridError.
 """
 from __future__ import annotations
 
@@ -34,6 +37,7 @@ from .quadrature import (
     superlevel_measure,
     translation_defect,
     translation_defect_bounds,
+    translation_profile,
 )
 
 __all__ = [
@@ -154,13 +158,13 @@ class ConditionReport:
 # witness search plumbing
 # ---------------------------------------------------------------------------
 
-def _worst(family: FamilySpec, value_at: Callable[[GridFunction], float]):
-    worst, worst_idx = -math.inf, family.indices[0]
-    for idx, m in zip(family.indices, family.members):
-        v = value_at(m)
+def _worst(values: list[float]) -> tuple[float, int]:
+    """The largest value and the position of its first occurrence."""
+    worst, pos = -math.inf, 0
+    for i, v in enumerate(values):
         if v > worst:
-            worst, worst_idx = v, idx
-    return worst, worst_idx
+            worst, pos = v, i
+    return worst, pos
 
 
 def _search_up(
@@ -183,7 +187,7 @@ def _search_up(
     cand = first
     last_fail = None
     while cand <= bound * (1.0 + 1e-12):
-        worst, idx = _worst(family, lambda m: valuator(m, cand))
+        worst, pos = _worst([valuator(m, cand) for m in family.members])
         evals += 1
         if worst < threshold:
             lo = last_fail[0] if last_fail is not None else floor
@@ -191,14 +195,14 @@ def _search_up(
             if lo is not None:
                 for _ in range(_BISECT_STEPS):
                     mid = 0.5 * (lo + hi)
-                    w, _ = _worst(family, lambda m: valuator(m, mid))
+                    w, _ = _worst([valuator(m, mid) for m in family.members])
                     evals += 1
                     if w < threshold:
                         hi, worst = mid, w
                     else:
                         lo = mid
             return hi, worst, last_fail, evals
-        last_fail = (cand, worst, idx)
+        last_fail = (cand, worst, family.indices[pos])
         cand *= 2.0
     return None, None, last_fail, evals
 
@@ -305,6 +309,20 @@ def _defect(m: GridFunction, y: Fraction, transform: Transform) -> float:
     return translation_defect_bounds(m, y, transform)[1]
 
 
+def _shift_blocks(lattice: ShiftLattice) -> list[list[Fraction]]:
+    """Signed shifts +m, -m in blocks of 1, 1, 2, 4, ... magnitudes.
+
+    A family that fails at its first shift pays for two, not for the
+    whole lattice.
+    """
+    mags = lattice.magnitudes()
+    blocks, lo, hi = [], 0, 1
+    while lo < len(mags):
+        blocks.append([y for m in mags[lo:hi] for y in (m, -m)])
+        lo, hi = hi, 2 * hi
+    return blocks
+
+
 def _translation_condition(
     family: FamilySpec,
     eps: float,
@@ -322,32 +340,42 @@ def _translation_condition(
         "threshold": threshold,
         "certified_upper_bounds": certified,
     }
-    evals = 0
-    passing: list[Fraction] = []
+    scanned = []  # (signed shift, worst, position of the worst member)
     violation = None  # (magnitude, signed shift, worst, idx)
-    for mag in lattice.magnitudes():
-        for y in (mag, -mag):
-            worst, idx = _worst(family, lambda m: _defect(m, y, transform))
-            evals += 1
+    todo = _shift_blocks(lattice)[::-1]
+    while todo and violation is None:
+        block = todo.pop()
+        try:
+            rows = [translation_profile(m, block, transform) for m in family.members]
+        except GridError:
+            if len(block) == 1:
+                raise
+            # a shift of the block is too fine for the lattice; the shifts
+            # before it may still settle the verdict, as in shift order
+            half = len(block) // 2
+            todo += [block[half:], block[:half]]
+            continue
+        for j, y in enumerate(block):
+            worst, pos = _worst([row[j] for row in rows])
+            scanned.append((y, worst, pos))
             if not worst < threshold:
-                violation = (mag, y, worst, idx)
+                violation = (abs(y), y, worst, family.indices[pos])
                 break
-        if violation is not None:
-            break
-        passing.append(mag)
 
-    # Re-verify the claimed prefix by recomputing every defect from scratch.
-    for mag in passing:
-        for y in (mag, -mag):
-            worst, idx = _worst(family, lambda m: _defect(m, y, transform))
-            evals += 1
-            if not worst < threshold:
-                raise GridError(
-                    f"shift {float(y):.6g} failed re-verification on member {idx}"
-                )
-    scan["evaluations"] = evals
+    # Recount the worst member at every scanned shift, the offender at the
+    # violating one included, on the per-shift sweep: the kernel and the
+    # sweep share no merge, so a fault in either one shows as a mismatch.
+    for y, worst, pos in scanned:
+        recount = _defect(family.members[pos], y, transform)
+        if recount != worst:
+            raise GridError(
+                f"shift {float(y):.6g}: member {family.indices[pos]} recounts to "
+                f"{recount!r}, the scan gave {worst!r}"
+            )
+    scan["evaluations"] = len(scanned)
+    scan["rechecks"] = len(scanned)
 
-    if violation is not None and not passing:
+    if violation is not None and violation[0] == lattice.step:
         mag, y, worst, idx = violation
         return ConditionOutcome(
             condition, eps, "fail",

@@ -186,12 +186,15 @@ def family_v(k: int, p: float = 2.0, resolution: int = 256) -> GridFunction:
         raise GridError("index k must be >= 1")
     if not float(p) > 1.0:
         raise GridError("the x**-1 family needs p > 1; at p = 1 it leaves the space")
-    h = Fraction(1, resolution * k)
+    rk = resolution * k
+    h = Fraction(1, rk)
     box = (Fraction(-1), Fraction(1))
     n = int((box[1] - box[0]) / h)
     values = np.zeros(n)
     start = int((Fraction(1, k) - box[0]) / h)
-    lefts = np.array([float(box[0] + i * h) for i in range(start, n)])
+    # left edge i is -1 + i/rk = (i - rk)/rk; numerator and denominator are
+    # exact doubles below 2**53, so the division rounds the Fraction correctly
+    lefts = (np.arange(start, n) - rk) / rk
     rights = lefts + float(h)
     values[start:] = (np.log(rights) - np.log(lefts)) / float(h)
     return GridFunction((box,), (h,), values, TailSpec.power_law(1.0, 1.0, 1))

@@ -11,6 +11,10 @@ integral of T(f(x + y) - g(x)); ``integrate_transformed``,
 ``difference_integral``, ``translation_defect`` and the exact part of
 ``translation_defect_bounds`` call it.  The tail of f - g follows
 ``grid._combine_tails``.  Two dimensions go through ``grid.subtract``.
+``translation_profile`` gives the defects of one member at a block of
+shifts in one vectorized pass, with its own merge and grouping; it
+returns the per-shift functions' floats, and those functions, which
+never call it, are its reference.
 
 That conversion is one IEEE division when the lattice scale and every
 grouped integer sum are below 2**53: both are then exact doubles and the
@@ -52,12 +56,16 @@ __all__ = [
     "difference_integral",
     "translation_defect",
     "translation_defect_bounds",
+    "translation_profile",
     "superlevel_measure",
     "superlevel_set",
 ]
 
 _INT_GUARD = 2**62
 _EXACT_INT = 2**53  # integers below this are exact doubles
+# elements of one block of translation_profile's 2-d arrays (shifts times
+# merged edges); larger blocks are split, so memory stays bounded
+_PROFILE_BUDGET = 2**16
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +184,9 @@ def _pw_of(f: GridFunction, scale: int, shift: Fraction = Fraction(0)) -> _PW:
 
 def _merge(p: _PW, q: _PW):
     """Common partition; returns (left_edges, lengths, v_p, v_q)."""
-    edges = np.unique(np.concatenate((p.edges, q.edges)))
+    edges = np.concatenate((p.edges, q.edges))
+    edges.sort()
+    edges = edges[np.concatenate(([True], edges[1:] != edges[:-1]))]
     left = edges[:-1]
     lengths = edges[1:] - left
     return left, lengths, p.lookup(left), q.lookup(left)
@@ -193,21 +203,21 @@ def _group_exact(tvals: np.ndarray, int_lengths: np.ndarray, scale: int) -> floa
     tv = tv[order]
     ln = ln[order]
     cuts = np.concatenate(([0], np.flatnonzero(tv[1:] != tv[:-1]) + 1))
-    return _fsum_groups(tv[cuts], np.add.reduceat(ln, cuts), 1, scale)
+    return math.fsum(_group_terms(tv[cuts], np.add.reduceat(ln, cuts), 1, scale))
 
 
-def _fsum_groups(values: np.ndarray, counts: np.ndarray, num: int, den: int) -> float:
-    """fsum of values[i] * (counts[i] * num / den), one rounding per group.
+def _group_terms(values: np.ndarray, counts: np.ndarray, num: int, den: int) -> list[float]:
+    """values[i] times the correctly rounded counts[i] * num / den.
 
+    One term per group, so an fsum of the terms rounds each group once.
     counts are non-negative integers and num, den positive.  Below 2**53
     the product and the denominator are exact doubles, so a single float
     division gives the correctly rounded quotient; otherwise Fraction does.
+    Either way each term is the same float.
     """
     if den < _EXACT_INT and int(counts.max()) * num < _EXACT_INT:
-        return math.fsum((counts * num / den * values).tolist())
-    return math.fsum(
-        float(Fraction(int(c) * num, den)) * float(v) for v, c in zip(values, counts)
-    )
+        return (counts * num / den * values).tolist()
+    return [float(Fraction(int(c) * num, den)) * float(v) for v, c in zip(values, counts)]
 
 
 def _reduce_region(
@@ -363,7 +373,7 @@ def _cell_masses(tvals: np.ndarray, vol: Fraction) -> float:
     if not nz.any():
         return 0.0
     u, w = np.unique(flat[nz], return_counts=True)
-    return _fsum_groups(u, w, vol.numerator, vol.denominator)
+    return math.fsum(_group_terms(u, w, vol.numerator, vol.denominator))
 
 
 def _grid_integral_2d(f: GridFunction, transform: Transform, region: Region) -> float:
@@ -452,30 +462,14 @@ def translation_defect(
     return _sweep(f, transform, window, g=f, shift=as_fraction(y))
 
 
-def translation_defect_bounds(
-    f: GridFunction, y: FractionLike, transform: Transform
-) -> tuple[float, float]:
-    """Certified lower and upper bounds for the translation defect integral.
+def _onset_and_tail(f: GridFunction, dy: Fraction, transform: Transform) -> tuple[float, float]:
+    """The two bound terms of a live-tail defect beyond the exact grid part.
 
-    Zero tails give a single exact value.  For a power-law tail the grid
-    region is exact; the onset strip is bounded by its width times the
-    pointwise cap, and the tail-tail region by the mean value theorem:
+    On the strip of width |y| at the onset, both arguments lie within |y|
+    of the onset, so |f(x+y) - f(x)| is at most twice the local sup.  In
+    the tail-tail region the mean value theorem gives
     |f(x+y) - f(x)| <= c * alpha * |y| * u**-(alpha+1) with u >= onset.
     """
-    dy = as_fraction(y)
-    if f.tail.is_zero:
-        d = translation_defect(f, dy, transform)
-        return d, d
-    L = f.box[0][1]
-    # below min(L, L - y) both x and x + y lie on the grid side: the sweep,
-    # which reads no tail, is exact there
-    below = Window(None, min(L, L - dy))
-    exact = _degenerate_threshold(transform, below)
-    if exact is None:
-        exact = _sweep(f, transform, below, g=f, shift=dy)
-
-    # On the strip of width |y| at the onset, both arguments lie within
-    # |y| of the onset, so |f(x+y) - f(x)| is at most twice the local sup.
     h = f.spacing[0]
     n_strip = min(len(f.values), int(abs(dy) / h) + 1)
     local = float(np.max(np.abs(f.values[-n_strip:]))) if n_strip else 0.0
@@ -495,7 +489,134 @@ def translation_defect_bounds(
             tail_term = math.inf
         else:
             tail_term = max(0.0, (amp / level) ** (1.0 / (a + 1.0)) - onset)
+    return strip, tail_term
+
+
+def translation_defect_bounds(
+    f: GridFunction, y: FractionLike, transform: Transform
+) -> tuple[float, float]:
+    """Certified lower and upper bounds for the translation defect integral.
+
+    Zero tails give a single exact value.  For a power-law tail the grid
+    region is exact; the onset strip and the tail-tail region add the
+    bounds of ``_onset_and_tail``.
+    """
+    dy = as_fraction(y)
+    if f.tail.is_zero:
+        d = translation_defect(f, dy, transform)
+        return d, d
+    L = f.box[0][1]
+    # below min(L, L - y) both x and x + y lie on the grid side: the sweep,
+    # which reads no tail, is exact there
+    below = Window(None, min(L, L - dy))
+    exact = _degenerate_threshold(transform, below)
+    if exact is None:
+        exact = _sweep(f, transform, below, g=f, shift=dy)
+    strip, tail_term = _onset_and_tail(f, dy, transform)
     return exact, exact + strip + tail_term
+
+
+def translation_profile(f: GridFunction, shifts, transform: Transform) -> list[float]:
+    """The translation defect of f at every shift, in one vectorized pass.
+
+    Entry i equals ``translation_defect(f, shifts[i], transform)`` for a
+    zero tail and ``translation_defect_bounds(f, shifts[i], transform)[1]``
+    for a live one, bit for bit.  Those two stay on ``_sweep`` alone: they
+    are the independent reference this kernel is checked against.
+    """
+    if f.dim != 1:
+        raise GridError("translation defects are one-dimensional here")
+    shifts = [as_fraction(y) for y in shifts]
+    live = not f.tail.is_zero
+    (a, L), = f.box
+    # neither window, None or (-inf, min(L, L - y)), has a lower bound, so
+    # the degenerate value is the same at every shift
+    degenerate = _degenerate_threshold(transform, Window(None, L) if live else None)
+    if degenerate is not None:
+        grid = [degenerate] * len(shifts)
+    else:
+        # the sweep's lattice for each shift; shifts sharing it go together
+        base = _scale_for(a, f.spacing[0])
+        by_scale: dict[int, list[int]] = {}
+        for i, y in enumerate(shifts):
+            by_scale.setdefault(math.lcm(base, y.denominator), []).append(i)
+        grid = [0.0] * len(shifts)
+        for scale, rows in by_scale.items():
+            ints = [shifts[i].numerator * (scale // shifts[i].denominator) for i in rows]
+            for i, v in zip(rows, _profile_grid(f, ints, transform, scale, live)):
+                grid[i] = v
+    if not live:
+        return grid
+    out = []
+    for exact, y in zip(grid, shifts):
+        strip, tail_term = _onset_and_tail(f, y, transform)
+        out.append(exact + strip + tail_term)
+    return out
+
+
+def _profile_grid(
+    f: GridFunction, shifts: list[int], transform: Transform, scale: int, live: bool
+) -> list[float]:
+    """Grid parts of the defects at integer shifts s on the lattice 1/scale.
+
+    Row r sorts f's run edges E together with E - s_r; no edge is
+    deduplicated.  Before a piece of positive length every copy of its
+    left edge is already placed, so of the k + 1 merged edges up to piece
+    k, E.searchsorted(left, side="right") are edges of f and the rest are
+    shifted ones: the lookups of f(x) and f(x + y).  Zero-length pieces
+    drop out as in ``_group_exact``; a live tail clips row r at
+    min(L, L - y_r).
+    """
+    (a, L), = f.box
+    # the sweep's guards, in Python integers before any int64 arithmetic:
+    # both ends of the box, unshifted and shifted
+    e0, step, end = (_lattice(x, scale) for x in (a, f.spacing[0], L))
+    for s in shifts:
+        _check_guard(e0 - s)
+        _check_guard(end - s)
+    bounds, run_values = f.runs
+    edges = e0 + step * bounds
+    n = len(edges)
+    padded = np.concatenate(([0.0], run_values, [0.0]))
+    # y * scale itself may pass 2**62; it still fits an int64
+    s_all = np.array(shifts, dtype=np.int64)
+    per = max(1, _PROFILE_BUDGET // (2 * n))
+    out: list[float] = []
+    for lo in range(0, len(s_all), per):
+        s = s_all[lo:lo + per, None]
+        shifted = edges - s
+        merged = np.sort(
+            np.concatenate((np.broadcast_to(edges, shifted.shape), shifted), axis=1), axis=1
+        )
+        left, right = merged[:, :-1], merged[:, 1:]
+        in_f = edges.searchsorted(left, side="right")
+        if live:
+            right = np.minimum(right, np.minimum(end, end - s))
+        tvals = _apply(transform, padded[np.arange(1, 2 * n) - in_f] - padded[in_f])
+        out += _group_rows(tvals, right - left, scale)
+    return out
+
+
+def _group_rows(tvals: np.ndarray, lengths: np.ndarray, scale: int) -> list[float]:
+    """``_group_exact`` of every row of (tvals, lengths) at once.
+
+    Each group's integer sum is the sweep's, each is rounded once, and
+    ``math.fsum`` rounds correctly in any order: every row is the float
+    the sweep gives.
+    """
+    lengths = np.where((tvals != 0.0) & (lengths > 0), lengths, 0)
+    order = tvals.argsort(axis=1)
+    tv = np.take_along_axis(tvals, order, axis=1)
+    new = np.ones(tv.shape, dtype=bool)
+    new[:, 1:] = tv[:, 1:] != tv[:, :-1]
+    cuts = np.flatnonzero(new)
+    sums = np.add.reduceat(np.take_along_axis(lengths, order, axis=1).ravel(), cuts)
+    # a group of zero-length pieces is no group of the sweep
+    kept = sums > 0
+    cuts, sums = cuts[kept], sums[kept]
+    terms = _group_terms(tv.ravel()[cuts], sums, 1, scale) if len(cuts) else []
+    ends = np.searchsorted(cuts // tv.shape[1], np.arange(len(tv) + 1)).tolist()
+    return [math.fsum(terms[i:j]) for i, j in zip(ends[:-1], ends[1:])]
 
 
 def superlevel_measure(f: GridFunction, level: float) -> float:

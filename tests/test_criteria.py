@@ -2,9 +2,11 @@
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 import asymlp as a
+from asymlp import quadrature
 
 
 class TestShiftLattice:
@@ -130,6 +132,69 @@ class TestTranslationCondition:
         out = a.check_translation(fam, 0.5)
         assert out.verdict == "pass"
         assert out.scan["certified_upper_bounds"] is True
+
+
+class TestTranslationScan:
+    """The batched scan, its recount on the per-shift sweep, and its blocks."""
+
+    def test_counts_scanned_shifts_and_recounts(self):
+        out = a.check_translation(a.g_family(20), 0.5)
+        # magnitudes 1/16..3/16 pass in both signs, +4/16 violates
+        assert out.witness == 0.25
+        assert out.scan["evaluations"] == 7
+        assert out.scan["rechecks"] == 7
+        assert a.check_translation(a.h_family(10), 0.5).scan["evaluations"] == 1
+
+    def test_recount_catches_a_merge_one_unit_off(self, monkeypatch):
+        merge = quadrature._merge
+
+        def off_by_one(p, q):
+            left, lengths, vp, vq = merge(p, q)
+            lengths = lengths.copy()
+            lengths[np.flatnonzero(vp != vq)[:1]] += 1
+            return left, lengths, vp, vq
+
+        monkeypatch.setattr(quadrature, "_merge", off_by_one)
+        with pytest.raises(a.GridError, match="recounts"):
+            a.check_translation(a.g_family(20), 0.5)
+
+    def test_recount_catches_a_kernel_one_unit_off(self, monkeypatch):
+        group_rows = quadrature._group_rows
+        monkeypatch.setattr(
+            quadrature, "_group_rows",
+            lambda tvals, lengths, scale: group_rows(tvals, lengths + (lengths > 0), scale),
+        )
+        with pytest.raises(a.GridError, match="recounts"):
+            a.check_translation(a.g_family(20), 0.5)
+
+    def test_element_budget_splits_blocks_without_changing_outcomes(self, monkeypatch):
+        families = (a.g_family(20), a.h_family(10), a.u_family(8, 1.0), a.v_family(6, 2.0))
+        want = [a.full_report(fam, [0.5, 0.25]) for fam in families]
+        rows = []
+        group_rows = quadrature._group_rows
+
+        def spy(tvals, lengths, scale):
+            rows.append(len(tvals))
+            return group_rows(tvals, lengths, scale)
+
+        monkeypatch.setattr(quadrature, "_group_rows", spy)
+        monkeypatch.setattr(quadrature, "_PROFILE_BUDGET", 1)
+        assert [a.full_report(fam, [0.5, 0.25]) for fam in families] == want
+        assert max(rows) == 1
+
+    def test_a_shift_past_the_guard_after_the_violation_is_never_reached(self):
+        # on the lattice 1/S the shift -10/S puts the right edge 2 at
+        # 2S + 10 = 2**62; magnitude 9/S already violates in the same block
+        S = 2**61 - 5
+        f = a.constant(1.0, (0, 2), 1)
+        with pytest.raises(a.GridError):
+            a.translation_defect(f, F(-10, S), a.ClampPower(1.0))
+        fam = a.FamilySpec("edge", 1.0, (f,), (1,))
+        out = a.check_translation(fam, 17 / S, a.ShiftLattice(F(1, S), 16))
+        assert out.verdict == "pass"
+        assert out.witness == float(F(9, S))
+        assert f"first violation at y={float(F(9, S)):.6g}" in out.detail
+        assert out.scan["evaluations"] == 17
 
 
 class TestClassicalConditions:

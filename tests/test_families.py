@@ -58,6 +58,16 @@ class TestMemberFunctions:
         assert v.value_at(-0.5) == 0.0
         assert v.tail == a.TailSpec.power_law(1.0, 1.0, 1)
 
+    def test_v_values_match_fraction_edges_bit_for_bit(self):
+        for k in (1, 7, 33, 64):
+            v = a.family_v(k, 2.0)
+            h = v.spacing[0]
+            start = int((F(1, k) + 1) / h)
+            lefts = np.array([float(-1 + i * h) for i in range(start, v.counts[0])])
+            want = np.zeros(v.counts[0])
+            want[start:] = (np.log(lefts + float(h)) - np.log(lefts)) / float(h)
+            assert np.asarray(v.values).tobytes() == want.tobytes(), k
+
     def test_v_lp_square_close_to_k(self):
         for k in (4, 16, 64):
             v = a.family_v(k, 2.0)

@@ -301,6 +301,66 @@ class TestExactSweep:
 
 
 # ---------------------------------------------------------------------------
+# the batched translation kernel against the per-shift sweep
+# ---------------------------------------------------------------------------
+
+_PROFILE_TRANSFORMS = st.sampled_from((
+    a.AbsPower(1.0), a.AbsPower(1.5), a.AbsPower(2.0), a.ClampPower(1.0),
+    a.ClampPower(2.0), a.Threshold(0.5), a.Threshold(0.0), a.Threshold(-0.5),
+))
+
+
+@st.composite
+def _tailed_function(draw, den):
+    """Function with a power-law tail from the right box edge L on."""
+    h = F(draw(st.integers(1, 3)), den)
+    right = draw(st.integers(1, 6))
+    n = 2 * right + draw(st.integers(0, 3))
+    L = right * h
+    values = draw(st.lists(st.floats(-4, 4, allow_nan=False), min_size=n, max_size=n))
+    coefficient = draw(st.sampled_from((0.0, 0.5, 1.0, 3.0)))
+    tail = a.TailSpec.power_law(coefficient, draw(st.sampled_from((0.5, 1.0, 2.0))), L)
+    return a.GridFunction(((L - n * h, L),), (h,), np.array(values), tail)
+
+
+def _per_shift(f, y, t):
+    if f.tail.is_zero:
+        return a.translation_defect(f, y, t)
+    return a.translation_defect_bounds(f, y, t)[1]
+
+
+class TestShiftProfile:
+    def _check(self, f, shifts, t):
+        try:
+            want = [_per_shift(f, y, t) for y in shifts]
+        except a.GridError:
+            with pytest.raises(a.GridError):
+                quadrature.translation_profile(f, shifts, t)
+            return
+        assert _bits(quadrature.translation_profile(f, shifts, t)) == _bits(want)
+
+    @given(_coprime_pair(), st.lists(_off_lattice(), min_size=1, max_size=6), _PROFILE_TRANSFORMS)
+    def test_zero_tail_matches_the_sweep_bit_for_bit(self, fg, shifts, t):
+        self._check(fg[0], shifts, t)
+
+    @given(st.sampled_from(_PRIMES).flatmap(_tailed_function),
+           st.lists(_off_lattice(), min_size=1, max_size=6), _PROFILE_TRANSFORMS)
+    def test_live_tail_matches_the_bounds_bit_for_bit(self, f, shifts, t):
+        self._check(f, shifts, t)
+
+    @given(_coprime_pair(), st.integers(1, 64), st.integers(1, 40), _PROFILE_TRANSFORMS)
+    def test_lattice_shifts_in_one_call(self, fg, den, count, t):
+        step = F(1, den)
+        self._check(fg[0], [y for j in range(1, count + 1) for y in (j * step, -j * step)], t)
+
+    def test_guard_raises_as_the_sweep_does(self):
+        f = a.constant(1.0, (0, 4096), 1)  # TestLatticeGuard: last edge 2**64
+        for shifts in ([F(1, 2**52)], [F(1, 2), F(1, 2**52)]):
+            with pytest.raises(a.GridError):
+                quadrature.translation_profile(f, shifts, a.ClampPower(1.0))
+
+
+# ---------------------------------------------------------------------------
 # the materialised common lattice against pointwise Fraction lookups
 # ---------------------------------------------------------------------------
 
