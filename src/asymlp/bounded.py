@@ -31,7 +31,7 @@ from .grid import (
     MeasurableSet,
     as_fraction,
 )
-from .norms import ConvergenceReport
+from .norms import ConvergenceReport, _horizon_report
 from .nets import greedy_net
 from .quadrature import Threshold, difference_integral, superlevel_set
 
@@ -106,15 +106,8 @@ def almost_equibounded_certificate(
     if not outcome.passed:
         return BoundednessCertificate(eps, False, None, None, outcome)
     M = outcome.witness
-    sets, measures = [], []
-    for idx, m in zip(family.indices, family.members):
-        s = superlevel_set(m, M)
-        off = np.abs(m.values[~s.mask]) if (~s.mask).any() else np.zeros(1)
-        if not np.all(off <= M):
-            raise GridError(f"member {idx} exceeds the cut off its exceptional set")
-        sets.append(s)
-        measures.append(s.measure())
-    exceptional = ExceptionalSet(eps, family.indices, tuple(sets), tuple(measures))
+    sets = tuple(superlevel_set(m, M) for m in family.members)
+    exceptional = ExceptionalSet(eps, family.indices, sets, tuple(s.measure() for s in sets))
     return BoundednessCertificate(eps, True, M, exceptional, outcome)
 
 
@@ -251,30 +244,10 @@ def convergence_in_measure(
     """
     if eps <= 0 or tol <= 0:
         raise GridError("eps and tol must be positive")
-    members = list(getattr(seq, "members", seq))
-    if K is not None:
-        members = members[:K]
-    if not members:
-        raise GridError("nonempty sequence required")
-    _require_bounded(members + [limit], "convergence in measure")
-    idx = tuple(indices) if indices is not None else tuple(range(1, len(members) + 1))
-    if len(idx) != len(members):
-        raise GridError("indices and members disagree in length")
-    measures = [
-        difference_integral(m, limit, Threshold(eps)) for m in members
-    ]
-    steps = list(zip(measures, measures[1:]))
-    monotone = (
-        sum(1 for a, b in steps if b <= a + 1e-15) / len(steps) if steps else 1.0
-    )
-    return ConvergenceReport(
-        p=1.0,
-        tol=float(tol),
-        indices=idx,
-        distances=tuple(measures),
-        errors=("",) * len(members),
-        converged=measures[-1] < tol,
-        monotone_fraction=monotone,
+    return _horizon_report(
+        seq, K, indices, 1.0, tol,
+        lambda m: (difference_integral(m, limit, Threshold(eps)), ""),
+        vet=lambda members: _require_bounded(members + [limit], "convergence in measure"),
     )
 
 

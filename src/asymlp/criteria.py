@@ -310,16 +310,16 @@ def _defect(m: GridFunction, y: Fraction, transform: Transform) -> float:
 
 
 def _shift_blocks(lattice: ShiftLattice) -> list[list[Fraction]]:
-    """Signed shifts +m, -m in blocks of 1, 1, 2, 4, ... magnitudes.
+    """Signed shifts +m, -m in blocks of 1, 3, 4, 8, 16, ...
 
-    A family that fails at its first shift pays for two, not for the
-    whole lattice.
+    A family that fails at its first shift pays for that one shift, not
+    for the whole lattice; 16 magnitudes still take five blocks.
     """
-    mags = lattice.magnitudes()
+    shifts = lattice.shifts()
     blocks, lo, hi = [], 0, 1
-    while lo < len(mags):
-        blocks.append([y for m in mags[lo:hi] for y in (m, -m)])
-        lo, hi = hi, 2 * hi
+    while lo < len(shifts):
+        blocks.append(shifts[lo:hi])
+        lo, hi = hi, max(4, 2 * hi)
     return blocks
 
 

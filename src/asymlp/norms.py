@@ -99,6 +99,40 @@ class ConvergenceReport:
         )
 
 
+def _horizon_report(seq, K, indices, p, tol, distance, vet=None) -> ConvergenceReport:
+    """ConvergenceReport of d_k = distance(f_k) over the first K members of seq.
+
+    distance returns (d_k, error message); an error is recorded as nan and
+    blocks a "converged" verdict.  vet(members) runs before the index check.
+    """
+    members = list(getattr(seq, "members", seq))
+    if K is not None:
+        members = members[:K]
+    if not members:
+        raise GridError("nonempty sequence required")
+    if vet is not None:
+        vet(members)
+    idx = tuple(indices) if indices is not None else tuple(range(1, len(members) + 1))
+    if len(idx) != len(members):
+        raise GridError("indices and members disagree in length")
+
+    distances, errors = zip(*map(distance, members))
+    valid = [d for d in distances if not math.isnan(d)]
+    steps = list(zip(valid, valid[1:]))
+    monotone = (
+        sum(1 for a, b in steps if b <= a + 1e-15) / len(steps) if steps else 1.0
+    )
+    return ConvergenceReport(
+        p=p,
+        tol=float(tol),
+        indices=idx,
+        distances=distances,
+        errors=errors,
+        converged=not any(errors) and bool(valid) and distances[-1] < tol,
+        monotone_fraction=monotone,
+    )
+
+
 def alpha_converges(
     seq: Iterable[GridFunction] | Sequence[GridFunction],
     limit: GridFunction,
@@ -115,39 +149,11 @@ def alpha_converges(
     p = _p_of(params)
     if tol <= 0.0:
         raise GridError("tol must be positive")
-    members = list(getattr(seq, "members", seq))
-    if K is not None:
-        members = members[:K]
-    if not members:
-        raise GridError("nonempty sequence required")
-    idx = tuple(indices) if indices is not None else tuple(range(1, len(members) + 1))
-    if len(idx) != len(members):
-        raise GridError("indices and members disagree in length")
 
-    distances: list[float] = []
-    errors: list[str] = []
-    for m in members:
+    def distance(m):
         try:
-            distances.append(alpha_distance(m, limit, p))
-            errors.append("")
+            return alpha_distance(m, limit, p), ""
         except GridError as exc:
-            distances.append(math.nan)
-            errors.append(str(exc))
+            return math.nan, str(exc)
 
-    valid = [d for d in distances if not math.isnan(d)]
-    steps = [(a, b) for a, b in zip(valid, valid[1:])]
-    monotone = (
-        sum(1 for a, b in steps if b <= a + 1e-15) / len(steps) if steps else 1.0
-    )
-    converged = (
-        not any(errors) and bool(valid) and distances[-1] < tol
-    )
-    return ConvergenceReport(
-        p=p,
-        tol=float(tol),
-        indices=idx,
-        distances=tuple(distances),
-        errors=tuple(errors),
-        converged=converged,
-        monotone_fraction=monotone,
-    )
+    return _horizon_report(seq, K, indices, p, tol, distance)

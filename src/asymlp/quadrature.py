@@ -10,7 +10,13 @@ In one dimension one sweep, ``_sweep``, gives the grid part of the
 integral of T(f(x + y) - g(x)); ``integrate_transformed``,
 ``difference_integral``, ``translation_defect`` and the exact part of
 ``translation_defect_bounds`` call it.  The tail of f - g follows
-``grid._combine_tails``.  Two dimensions go through ``grid.subtract``.
+``grid._combine_tails``.  Two dimensions group their cells with the same
+``_group_exact``, and their differences go through ``grid.subtract``.
+One reduction, ``_outside``, serves ``Outside`` regions in both
+dimensions: it clips cells against the radius in floats, groups the cells
+with no overlap exactly and adds the partly-inside remainders with one
+``math.fsum``.
+
 ``translation_profile`` gives the defects of one member at a block of
 shifts in one vectorized pass, with its own merge and grouping; it
 returns the per-shift functions' floats, and those functions, which
@@ -192,18 +198,18 @@ def _merge(p: _PW, q: _PW):
     return left, lengths, p.lookup(left), q.lookup(left)
 
 
-def _group_exact(tvals: np.ndarray, int_lengths: np.ndarray, scale: int) -> float:
-    """Sum T * measure with integer measures grouped per distinct T."""
-    keep = (tvals != 0.0) & (int_lengths > 0)
+def _group_exact(tvals: np.ndarray, counts: np.ndarray, scale: int, num: int = 1) -> float:
+    """Sum T * counts * num / scale with the integer counts grouped per distinct T."""
+    keep = (tvals != 0.0) & (counts > 0)
     if not keep.any():
         return 0.0
     tv = tvals[keep]
-    ln = int_lengths[keep]
+    ln = counts[keep]
     order = np.argsort(tv, kind="stable")
     tv = tv[order]
     ln = ln[order]
     cuts = np.concatenate(([0], np.flatnonzero(tv[1:] != tv[:-1]) + 1))
-    return math.fsum(_group_terms(tv[cuts], np.add.reduceat(ln, cuts), 1, scale))
+    return math.fsum(_group_terms(tv[cuts], np.add.reduceat(ln, cuts), num, scale))
 
 
 def _group_terms(values: np.ndarray, counts: np.ndarray, num: int, den: int) -> list[float]:
@@ -220,6 +226,27 @@ def _group_terms(values: np.ndarray, counts: np.ndarray, num: int, den: int) -> 
     return [float(Fraction(int(c) * num, den)) * float(v) for v, c in zip(values, counts)]
 
 
+def _outside(
+    tvals: np.ndarray,
+    counts: np.ndarray,
+    num: int,
+    den: int,
+    inside: np.ndarray,
+    full: float | np.ndarray,
+) -> float:
+    """Sum of T over the part of each cell outside a radius.
+
+    A cell of measure counts * num / den has the float overlap inside with
+    the radius' ball and the float measure full.  Cells with no overlap add
+    their exact grouped mass; partly-inside cells add (full - inside) * T,
+    summed once with ``math.fsum``.
+    """
+    out = inside == 0.0
+    partial = ~out & (inside < full)
+    exact = _group_exact(np.where(out, tvals, 0.0), counts, den, num)
+    return exact + math.fsum((full - inside)[partial] * tvals[partial])
+
+
 def _reduce_region(
     tvals: np.ndarray,
     left: np.ndarray,
@@ -234,30 +261,16 @@ def _reduce_region(
     if isinstance(region, Window):
         lo = None if region.lo is None else _lattice(as_fraction(region.lo), scale)
         hi = None if region.hi is None else _lattice(as_fraction(region.hi), scale)
-        l = left.copy()
-        r = left + lengths
-        if lo is not None:
-            l = np.maximum(l, lo)
-        if hi is not None:
-            r = np.minimum(r, hi)
-        clipped = np.maximum(r - l, 0)
-        return _group_exact(tvals, clipped, scale)
+        l = left if lo is None else np.maximum(left, lo)
+        r = left + lengths if hi is None else np.minimum(left + lengths, hi)
+        return _group_exact(tvals, np.maximum(r - l, 0), scale)
 
     if isinstance(region, Outside):
         R = float(region.radius)
         fl = left.astype(np.float64) / scale
         fr = (left + lengths).astype(np.float64) / scale
         inside = np.clip(np.minimum(fr, R) - np.maximum(fl, -R), 0.0, None)
-        full = lengths.astype(np.float64) / scale
-        fully_out = inside == 0.0
-        exact = _group_exact(np.where(fully_out, tvals, 0.0), lengths, scale)
-        partial = ~fully_out & (inside < full)
-        correction = math.fsum(
-            (full[i] - float(inside[i])) * float(tvals[i])
-            for i in np.flatnonzero(partial)
-            if tvals[i] != 0.0
-        )
-        return exact + correction
+        return _outside(tvals, lengths, 1, scale, inside, lengths.astype(np.float64) / scale)
 
     raise GridError(f"unknown region {region!r}")
 
@@ -288,17 +301,11 @@ def _sweep(f: GridFunction, transform: Transform, region: Region, g=None, shift=
 # ---------------------------------------------------------------------------
 
 def _tail_from(tail: TailSpec, transform: Transform, start: float | None) -> float:
-    if tail.is_zero:
-        return 0.0
     if isinstance(transform, AbsPower):
         return tail.abs_power_integral(transform.p, start)
     if isinstance(transform, ClampPower):
         return tail.clamp_power_integral(transform.p, start)
     if isinstance(transform, Threshold):
-        if transform.level < 0.0:
-            return math.inf
-        if transform.level == 0.0:
-            return math.inf if tail.coefficient > 0.0 else 0.0
         return tail.superlevel_length(transform.level, start)
     raise GridError(f"unknown transform {transform!r}")
 
@@ -328,10 +335,8 @@ def _tail_between(tail: TailSpec, transform: Transform, lo: float, hi: float) ->
         lo2 = max(lo, sat)
         return flat + _abs_power_between(c, a, transform.p, lo2, max(hi, lo2))
     if isinstance(transform, Threshold):
-        if transform.level < 0.0:
-            return math.inf
         if transform.level == 0.0:
-            return (hi - lo) if c > 0.0 else 0.0
+            return hi - lo
         cut = (c / transform.level) ** (1.0 / a)
         return max(0.0, min(hi, cut) - lo)
     raise GridError(f"unknown transform {transform!r}")
@@ -366,46 +371,24 @@ def _degenerate_threshold(transform: Transform, region: Region) -> float | None:
     return math.inf
 
 
-def _cell_masses(tvals: np.ndarray, vol: Fraction) -> float:
-    """Sum of tvals over cells of volume vol, grouped per distinct value."""
-    flat = tvals.ravel()
-    nz = flat != 0.0
-    if not nz.any():
-        return 0.0
-    u, w = np.unique(flat[nz], return_counts=True)
-    return math.fsum(_group_terms(u, w, vol.numerator, vol.denominator))
-
-
 def _grid_integral_2d(f: GridFunction, transform: Transform, region: Region) -> float:
-    vol = f.cell_volume
-    tvals = _apply(transform, f.values)
+    num, den = f.cell_volume.numerator, f.cell_volume.denominator
+    tvals = _apply(transform, f.values).ravel()
+    ones = np.ones(tvals.size, dtype=np.int64)
     if region is None:
-        return _cell_masses(tvals, vol)
-
-    (a1, _), (a2, _) = f.box
-    h1, h2 = f.spacing
-    n1, n2 = f.counts
-    l1 = float(a1) + float(h1) * np.arange(n1)
-    r1 = l1 + float(h1)
-    l2 = float(a2) + float(h2) * np.arange(n2)
-    r2 = l2 + float(h2)
-
-    if isinstance(region, Outside):
-        R = float(region.radius)
-        ox = np.clip(np.minimum(r1, R) - np.maximum(l1, -R), 0.0, None)
-        oy = np.clip(np.minimum(r2, R) - np.maximum(l2, -R), 0.0, None)
-        inside = np.outer(ox, oy)
-        area = float(h1) * float(h2)
-        weight = area - inside
-    elif isinstance(region, Window):
+        return _group_exact(tvals, ones, den, num)
+    if isinstance(region, Window):
         raise GridError("axis windows are one-dimensional; restrict first")
-    else:
+    if not isinstance(region, Outside):
         raise GridError(f"unknown region {region!r}")
 
-    full = weight >= area  # cells entirely in the region: exact mass
-    exact = _cell_masses(np.where(full, tvals, 0.0), vol)
-    partial = (~full) & (weight > 0.0) & (tvals != 0.0)
-    return exact + float(np.sum(tvals[partial] * weight[partial]))
+    R = float(region.radius)
+    overlaps = []
+    for (a, _), h, n in zip(f.box, f.spacing, f.counts):
+        left = float(a) + float(h) * np.arange(n)
+        overlaps.append(np.clip(np.minimum(left + float(h), R) - np.maximum(left, -R), 0.0, None))
+    area = float(f.spacing[0]) * float(f.spacing[1])
+    return _outside(tvals, ones, num, den, np.outer(*overlaps).ravel(), area)
 
 
 def integrate_transformed(f: GridFunction, transform: Transform, region: Region = None) -> float:

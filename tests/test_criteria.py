@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import asymlp as a
-from asymlp import quadrature
+from asymlp import criteria, quadrature
 
 
 class TestShiftLattice:
@@ -144,6 +144,25 @@ class TestTranslationScan:
         assert out.scan["evaluations"] == 7
         assert out.scan["rechecks"] == 7
         assert a.check_translation(a.h_family(10), 0.5).scan["evaluations"] == 1
+
+    def test_first_shift_is_a_block_of_its_own(self, monkeypatch):
+        rows = []
+        profile = criteria.translation_profile
+
+        def spy(f, shifts, transform):
+            rows.append(len(shifts))
+            return profile(f, shifts, transform)
+
+        monkeypatch.setattr(criteria, "translation_profile", spy)
+        fam = a.h_family(10)  # every member violates at +1/2048
+        assert a.check_translation(fam, 0.5).verdict == "fail"
+        assert rows == [1] * len(fam.members)
+
+        rows.clear()
+        fam = a.g_family(5)
+        out = a.check_translation(fam, 0.5, a.ShiftLattice(F(1, 256), 16))
+        assert out.scan["evaluations"] == 32  # every shift passes
+        assert rows == [n for n in (1, 3, 4, 8, 16) for _ in fam.members]
 
     def test_recount_catches_a_merge_one_unit_off(self, monkeypatch):
         merge = quadrature._merge

@@ -427,6 +427,72 @@ class TestCommonLattice:
 
 
 # ---------------------------------------------------------------------------
+# two-dimensional integrals against exact per-value grouping
+# ---------------------------------------------------------------------------
+
+def _product(f, g):
+    """The 2-d function (x, y) -> f(x) * g(y) on the product of two 1-d grids."""
+    return a.grid_function(
+        (f.box[0], g.box[0]), (f.spacing[0], g.spacing[0]), np.outer(f.values, g.values)
+    )
+
+
+def _float_transform(t, values):
+    """T of every cell value; the catalog's exact value is a double here."""
+    exact = _exact_transform(t)
+    return np.array([float(exact(v)) for v in values.ravel().tolist()]).reshape(values.shape)
+
+
+def _exact_groups(tvals, volume):
+    """fsum over distinct T of T times the correctly rounded count * volume."""
+    counts = {}
+    for t in tvals.ravel().tolist():
+        if t != 0.0:
+            counts[t] = counts.get(t, 0) + 1
+    return math.fsum(float(n * volume) * t for t, n in counts.items())
+
+
+def _outside_2d(f, t, R, total=math.fsum):
+    """Cells with no float overlap with [-R, R]**2 grouped exactly, plus the
+    total of (area - overlap) * T over the cells partly inside."""
+    overlaps = []
+    for (lo, _), h, n in zip(f.box, f.spacing, f.counts):
+        left = float(lo) + float(h) * np.arange(n)
+        overlaps.append(np.clip(np.minimum(left + float(h), R) - np.maximum(left, -R), 0.0, None))
+    inside = np.outer(*overlaps)
+    area = float(f.spacing[0]) * float(f.spacing[1])
+    tvals = _float_transform(t, f.values)
+    partial = (inside > 0.0) & (inside < area)
+    exact = _exact_groups(tvals[inside == 0.0], f.cell_volume)
+    return exact + total(((area - inside) * tvals)[partial])
+
+
+class TestGridIntegral2d:
+    @given(_coprime_pair(), _TRANSFORMS)
+    def test_cells_group_exactly_bit_for_bit(self, fg, t):
+        f = _product(*fg)
+        want = _exact_groups(_float_transform(t, f.values), f.cell_volume)
+        assert a.integrate_transformed(f, t).hex() == want.hex()
+
+    @given(_coprime_pair(), _TRANSFORMS, st.one_of(
+        st.floats(0.0, 6.0), st.sampled_from((0.1, 0.3, 1 / 3, 0.5, 2.0))
+    ))
+    def test_outside_is_exact_groups_plus_fsum_of_partial_cells(self, fg, t, R):
+        f = _product(*fg)
+        assert a.integrate_transformed(f, t, a.Outside(R)).hex() == _outside_2d(f, t, R).hex()
+
+    def test_partial_cells_are_summed_with_fsum(self):
+        rng = np.random.default_rng(103)
+        values = rng.normal(size=(24, 24)) * 10.0 ** rng.integers(-3, 4, size=(24, 24))
+        f = a.grid_function(((F(-1), F(1)), (F(-1), F(1))), (F(1, 12), F(1, 12)), values)
+        t, R = a.AbsPower(1.0), 0.3
+        want = _outside_2d(f, t, R)
+        # a plain float sum of the partial terms gives another float here
+        assert _outside_2d(f, t, R, lambda terms: float(np.sum(terms))) != want
+        assert a.integrate_transformed(f, t, a.Outside(R)).hex() == want.hex()
+
+
+# ---------------------------------------------------------------------------
 # pruned first-fit nets against the plain first-fit loop
 # ---------------------------------------------------------------------------
 
