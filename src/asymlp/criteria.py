@@ -11,12 +11,17 @@ K and all scan bounds so a "pass" can be read at face value.  Tail radii
 and level cuts come from one doubling-plus-bisection search (_search_up,
 also used for the truncation lift's cut): its witness is a candidate whose
 own all-member evaluation passed, and a pass detail reports that
-evaluation.  Translation is scanned over a declared finite shift lattice,
-never over all real shifts, in doubling blocks of magnitudes, each member
-through the batched ``translation_profile``.  The worst member at every
-scanned shift, the offender included, is then recounted on the per-shift
-sweep, which shares no merge with the batch; any difference raises
-GridError.
+evaluation.  Each candidate is one family pass of a quadrature kernel
+(_outside_kernel or _level_kernel); the reported worst member, at the
+witness or else at the last failing candidate, is then recounted with the
+per-member integrate_transformed or superlevel_measure, and any difference
+raises GridError.
+
+Translation is scanned over a declared finite shift lattice, never over
+all real shifts, in doubling blocks of magnitudes, each member through the
+batched ``translation_profile``.  The worst member at every scanned shift,
+the offender included, is then recounted on the per-shift sweep, which
+shares no merge with the batch; any difference raises GridError.
 """
 from __future__ import annotations
 
@@ -33,6 +38,8 @@ from .quadrature import (
     ClampPower,
     Outside,
     Transform,
+    _level_kernel,
+    _outside_kernel,
     integrate_transformed,
     superlevel_measure,
     translation_defect,
@@ -58,7 +65,7 @@ LP_CONDITIONS = ("lp-tail", "lp-translation")
 
 @dataclass(frozen=True)
 class ShiftLattice:
-    """Finite symmetric set of shifts: +als and -step*j for j = 1..count."""
+    """Finite symmetric set of shifts: +step*j and -step*j for j = 1..count."""
 
     step: Fraction
     count: int = 16
@@ -169,7 +176,8 @@ def _worst(values: list[float]) -> tuple[float, int]:
 
 def _search_up(
     family: FamilySpec,
-    valuator: Callable[[GridFunction, float], float],
+    batch: Callable[[float], list[float]],
+    single: Callable[[GridFunction, float], float],
     threshold: float,
     first: float,
     bound: float,
@@ -177,17 +185,21 @@ def _search_up(
 ):
     """Doubling candidates first, 2*first, ... <= bound; bisect after a pass.
 
+    batch(cand) gives every member's value at cand in one family pass.
     The bisection runs from the last failing candidate, or from floor when
     the first candidate already passes (no bisection when floor is None),
     up to the passing one.  Returns (witness or None, worst value at the
     witness, last_fail, evals) where last_fail is (candidate, worst value,
-    worst index).  The witness always passed its own all-member evaluation.
+    worst position).  The witness always passed its own all-member
+    evaluation.  The reported worst member, at the witness or else at the
+    last failing candidate, is recounted with single, the per-member
+    public function.
     """
     evals = 0
     cand = first
     last_fail = None
     while cand <= bound * (1.0 + 1e-12):
-        worst, pos = _worst([valuator(m, cand) for m in family.members])
+        worst, pos = _worst(batch(cand))
         evals += 1
         if worst < threshold:
             lo = last_fail[0] if last_fail is not None else floor
@@ -195,23 +207,47 @@ def _search_up(
             if lo is not None:
                 for _ in range(_BISECT_STEPS):
                     mid = 0.5 * (lo + hi)
-                    w, _ = _worst([valuator(m, mid) for m in family.members])
+                    w, p = _worst(batch(mid))
                     evals += 1
                     if w < threshold:
-                        hi, worst = mid, w
+                        hi, worst, pos = mid, w, p
                     else:
                         lo = mid
+            _recount(family, single, hi, worst, pos)
             return hi, worst, last_fail, evals
-        last_fail = (cand, worst, family.indices[pos])
+        last_fail = (cand, worst, pos)
         cand *= 2.0
+    if last_fail is not None:
+        _recount(family, single, *last_fail)
     return None, None, last_fail, evals
+
+
+def _recount(
+    family: FamilySpec,
+    single: Callable[[GridFunction, float], float],
+    cand: float,
+    worst: float,
+    pos: int,
+) -> None:
+    """Raise GridError unless single(member at pos, cand) gives worst.
+
+    The family kernels and the per-member functions share no grouping and
+    no summation, so a fault in either one shows as a mismatch.
+    """
+    recount = single(family.members[pos], cand)
+    if recount != worst:
+        raise GridError(
+            f"candidate {cand:.6g}: member {family.indices[pos]} recounts to "
+            f"{recount!r}, the search gave {worst!r}"
+        )
 
 
 def _search_condition(
     family: FamilySpec,
     condition: str,
     eps: float,
-    valuator: Callable[[GridFunction, float], float],
+    batch: Callable[[float], list[float]],
+    single: Callable[[GridFunction, float], float],
     threshold: float,
     first: float,
     bound: float,
@@ -224,7 +260,7 @@ def _search_condition(
     "worst superlevel measure").
     """
     witness, worst, last_fail, evals = _search_up(
-        family, valuator, threshold, first, bound
+        family, batch, single, threshold, first, bound
     )
     scan = {
         "kind": "doubling+bisect",
@@ -235,10 +271,10 @@ def _search_condition(
     }
     noun, symbol, quantity, label = words
     if witness is None:
-        cand, worst, idx = last_fail if last_fail else (bound, math.inf, family.indices[0])
+        cand, worst, pos = last_fail if last_fail else (bound, math.inf, 0)
         return ConditionOutcome(
             condition, eps, "fail",
-            offender_index=idx, offending_value=worst,
+            offender_index=family.indices[pos], offending_value=worst,
             detail=f"no {noun} up to {bound:.6g} works; {quantity} at {symbol}={cand:.6g}",
             scan=scan,
         )
@@ -279,11 +315,12 @@ def _tail_condition(
         family, threshold, p, clamped
     )
 
-    def valuator(m: GridFunction, R: float) -> float:
+    def single(m: GridFunction, R: float) -> float:
         return integrate_transformed(m, transform, Outside(R))
 
     return _search_condition(
-        family, condition, eps, valuator, threshold, first, bound,
+        family, condition, eps, _outside_kernel(family.members, transform), single,
+        threshold, first, bound,
         ("radius", "R", "value", "worst member integral"),
     )
 
@@ -298,7 +335,8 @@ def check_level(family: FamilySpec, eps: float) -> ConditionOutcome:
     if eps <= 0:
         raise GridError("eps must be positive")
     return _search_condition(
-        family, "level", eps, superlevel_measure, eps, 1.0, family.sup_abs() + 1.0,
+        family, "level", eps, _level_kernel(family.members), superlevel_measure,
+        eps, 1.0, family.sup_abs() + 1.0,
         ("cut", "M", "measure", "worst superlevel measure"),
     )
 

@@ -8,8 +8,11 @@ whose superlevel measure is below (eta/2)**p, an unclamped (eta/2)-net is
 built on the truncated family, and the triangle inequality lifts it to an
 eta-net for the originals in the clamped metric — re-verified directly.
 The cut comes from the witness search of criteria (doubling from 2, then
-bisection down towards 1); when it lies below the largest power-law tail
-sup it is raised to that sup, since truncate refuses to cut into a tail.
+bisection down towards 1), one family pass of the level kernel per
+candidate; when it lies below the largest power-law tail sup it is raised
+to that sup, since truncate refuses to cut into a tail.  The reported
+worst member, at the final cut or else at the last failing one, is
+recounted with superlevel_measure.
 
 Every first-fit loop (greedy_net, covering_profile and the lift) runs
 through one core that skips a candidate center when an exact lower bound
@@ -42,12 +45,19 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .criteria import _search_up
+from .criteria import _recount, _search_up, _worst
 from .families import FamilySpec
 from .grid import GridError, GridFunction
 from .norms import alpha_distance, lp_distance
 from .operators import truncate
-from .quadrature import AbsPower, ClampPower, Transform, integrate_transformed, superlevel_measure
+from .quadrature import (
+    AbsPower,
+    ClampPower,
+    Transform,
+    _level_kernel,
+    integrate_transformed,
+    superlevel_measure,
+)
 
 __all__ = [
     "EpsNet",
@@ -317,12 +327,14 @@ def _find_level_cut(family: FamilySpec, budget: float) -> tuple[float, float, in
     only under a cut that dominates it, and a higher cut only shrinks the
     superlevel sets.
     """
+    level = _level_kernel(family.members)
     M, worst, last_fail, evals = _search_up(
-        family, superlevel_measure, budget, 2.0, max(family.sup_abs() + 1.0, 2.0),
+        family, level, superlevel_measure, budget, 2.0, max(family.sup_abs() + 1.0, 2.0),
         floor=1.0,
     )
     if M is None:
-        _, worst, idx = last_fail
+        _, worst, pos = last_fail
+        idx = family.indices[pos]
         raise LevelConditionError(
             f"family violates the level condition at budget {budget:.6g}: "
             f"member {idx} has superlevel measure {worst:.6g} at the largest "
@@ -333,7 +345,8 @@ def _find_level_cut(family: FamilySpec, budget: float) -> tuple[float, float, in
     tail_sup = max(m.tail.sup() for m in family.members)
     if M < tail_sup:
         M = tail_sup
-        worst = max(superlevel_measure(m, M) for m in family.members)
+        worst, pos = _worst(level(M))
+        _recount(family, superlevel_measure, M, worst, pos)
         evals += 1
     return M, worst, evals
 

@@ -20,7 +20,12 @@ with no overlap exactly and adds the partly-inside remainders with one
 ``translation_profile`` gives the defects of one member at a block of
 shifts in one vectorized pass, with its own merge and grouping; it
 returns the per-shift functions' floats, and those functions, which
-never call it, are its reference.
+never call it, are its reference.  The witness searches' kernels,
+``_outside_kernel`` and ``_level_kernel``, work the same way across a
+family: built once from every member's runs, each answers one radius or
+cut for all members in a few numpy operations, with the floats of
+``integrate_transformed`` and ``superlevel_measure``, which stay their
+reference.
 
 That conversion is one IEEE division when the lattice scale and every
 grouped integer sum are below 2**53: both are then exact doubles and the
@@ -613,3 +618,128 @@ def superlevel_set(f: GridFunction, level: float) -> MeasurableSet:
     if _tail_from(f.tail, Threshold(level), None) > 0.0:
         raise GridError("superlevel set leaks into the tail; use superlevel_measure")
     return MeasurableSet(f.box, f.spacing, np.abs(f.values) > level)
+
+
+# ---------------------------------------------------------------------------
+# family kernels of the witness searches
+# ---------------------------------------------------------------------------
+
+def _block_starts(*keys: np.ndarray) -> np.ndarray:
+    """Start of every block of consecutive entries that agree on each key."""
+    new = np.zeros(len(keys[0]), dtype=bool)
+    new[:1] = True
+    for k in keys:
+        new[1:] |= k[1:] != k[:-1]
+    return np.flatnonzero(new)
+
+
+def _fsum_by(owners: np.ndarray, terms: np.ndarray, keys: np.ndarray) -> list[float]:
+    """``math.fsum`` of the terms of each key; owners are in ascending order."""
+    lo = np.searchsorted(owners, keys, side="left").tolist()
+    hi = np.searchsorted(owners, keys, side="right").tolist()
+    terms = terms.tolist()
+    return [math.fsum(terms[i:j]) for i, j in zip(lo, hi)]
+
+
+class _FamilyRuns:
+    """Every member's runs on its sweep lattice, concatenated in member order.
+
+    Run i belongs to the member at position pos[i] and has the left
+    lattice edge left[i], the length lengths[i] and the value values[i] on
+    the lattice 1/scale[i]; each member's runs begin at an entry of starts,
+    and batched lists the members' positions in that order.  2-d
+    members, and members whose lattice scale or total length reaches
+    2**53, are left out: their integer sums need not be exact doubles, and
+    the per-member call answers for them.  A lattice past 2**62 raises
+    GridError here, as ``_pw_of`` does.
+    """
+
+    def __init__(self, members):
+        self.members = members
+        # an empty part keeps the dtypes when every member is left out
+        parts = [(np.zeros(0, np.int64),) * 3 + (np.zeros(0),) * 2]
+        for i, m in enumerate(members):
+            if m.dim != 1:
+                continue
+            scale = _scale_for(m.box[0][0], m.spacing[0])
+            edges = _pw_of(m, scale).edges
+            if scale < _EXACT_INT and edges[-1] - edges[0] < _EXACT_INT:
+                n = len(edges) - 1
+                parts.append((
+                    np.full(n, i), edges[:-1], np.diff(edges), m.runs[1], np.full(n, float(scale))
+                ))
+        self.pos, self.left, self.lengths, self.values, self.scale = map(np.concatenate, zip(*parts))
+        self.starts = _block_starts(self.pos)
+        self.batched = self.pos[self.starts].tolist()
+
+    def values_at(self, transform: Transform, region: Region, grid: list[float]) -> list[float]:
+        """``integrate_transformed(m, transform, region)`` of every member.
+
+        grid holds the grid parts of the batched members, in their order;
+        the other members make the per-member call.
+        """
+        degenerate = _degenerate_threshold(transform, region)
+        if degenerate is not None:
+            return [degenerate] * len(self.members)
+        grid = dict(zip(self.batched, grid))
+        out = []
+        for i, m in enumerate(self.members):
+            if i not in grid:
+                out.append(integrate_transformed(m, transform, region))
+                continue
+            tail = _tail_part(m.tail, transform, region)
+            out.append(math.inf if tail == math.inf else grid[i] + tail)
+        return out
+
+
+def _outside_kernel(members, transform: Transform):
+    """R -> every member's ``integrate_transformed(m, transform, Outside(R))``.
+
+    Built once, with one group per member and transformed value; a call
+    answers one radius for the whole family.  Each group's integer length
+    outside R is divided once by its member's scale, the partly-inside
+    runs add the float terms of ``_outside``, and each member's two sums
+    are ``math.fsum``-ed as there: every value is the per-member float,
+    bit for bit.
+    """
+    runs = _FamilyRuns(members)
+    tv = _apply(transform, runs.values)
+    order = np.lexsort((tv, runs.pos))
+    pos, tv = runs.pos[order], tv[order]
+    left, lengths, scale = runs.left[order], runs.lengths[order], runs.scale[order]
+    fl = left / scale
+    fr = (left + lengths) / scale
+    full = lengths / scale
+    cuts = _block_starts(pos, tv)
+
+    def values(R: float) -> list[float]:
+        inside = np.clip(np.minimum(fr, R) - np.maximum(fl, -R), 0.0, None)
+        out = inside == 0.0
+        sums = np.add.reduceat(np.where(out, lengths, 0), cuts)
+        # a group with no mass outside R adds no term, not even 0 * inf
+        kept = (sums > 0) & (tv[cuts] != 0.0)
+        groups = cuts[kept]
+        exact = _fsum_by(pos[groups], sums[kept] / scale[groups] * tv[groups], runs.batched)
+        partial = np.flatnonzero(~out & (inside < full))
+        rest = _fsum_by(pos[partial], (full - inside)[partial] * tv[partial], runs.batched)
+        return runs.values_at(transform, Outside(R), [e + r for e, r in zip(exact, rest)])
+
+    return values
+
+
+def _level_kernel(members):
+    """M -> every member's ``superlevel_measure(m, M)``, one pass per cut.
+
+    A member's grid part is the integer length of its runs with |v| > M,
+    strictly, divided once by its scale: the sweep's single group.
+    """
+    runs = _FamilyRuns(members)
+    mag = np.abs(runs.values)
+    scale = runs.scale[runs.starts]
+
+    def values(M: float) -> list[float]:
+        M = float(M)
+        sums = np.add.reduceat(np.where(mag > M, runs.lengths, 0), runs.starts)
+        return runs.values_at(Threshold(M), None, (sums / scale).tolist())
+
+    return values

@@ -96,6 +96,53 @@ class TestLevelCondition:
         assert out.scan["to"] <= fam.sup_abs() + 1.0
 
 
+def _one_ulp_high(kernel_of):
+    """kernel_of, with the worst member of every answer read one ulp high."""
+    def build(*args):
+        kernel = kernel_of(*args)
+
+        def values(cand):
+            out = kernel(cand)
+            i = out.index(max(out))
+            out[i] = math.nextafter(out[i], math.inf)
+            return out
+
+        return values
+
+    return build
+
+
+class TestWitnessSearch:
+    """One family pass per candidate; the reported worst member is recounted."""
+
+    def test_recount_catches_a_kernel_one_ulp_high(self, monkeypatch):
+        monkeypatch.setattr(criteria, "_outside_kernel", _one_ulp_high(quadrature._outside_kernel))
+        monkeypatch.setattr(criteria, "_level_kernel", _one_ulp_high(quadrature._level_kernel))
+        # a witness and a failure for each condition
+        for check, fam in (
+            (a.check_tail, a.u_family(10, 1.0)), (a.check_tail, a.g_family(30)),
+            (a.check_level, a.spike_family(12)), (a.check_level, a.f_family(100, 1.0)),
+        ):
+            with pytest.raises(a.GridError, match="recounts"):
+                check(fam, 0.5)
+
+    def test_tail_searches_make_at_most_two_per_member_outside_calls(self, monkeypatch):
+        calls = []
+        integrate = quadrature.integrate_transformed
+
+        def spy(f, transform, region=None):
+            if isinstance(region, a.Outside):
+                calls.append(region.radius)
+            return integrate(f, transform, region)
+
+        for module in (criteria, quadrature):
+            monkeypatch.setattr(module, "integrate_transformed", spy)
+        report = a.full_report(a.u_family(16, 1.0), [0.5])
+        tail_searches = [e for e in report.entries if e.condition in ("tail", "lp-tail")]
+        assert len(tail_searches) == 2
+        assert 0 < len(calls) <= 2 * len(tail_searches)
+
+
 class TestTranslationCondition:
     def test_exact_prefix_witness_for_plateaus(self):
         fam = a.f_family(50, 1.0)

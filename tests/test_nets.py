@@ -7,6 +7,7 @@ import pytest
 
 import asymlp as a
 import oracles
+from asymlp import nets
 
 
 class TestGreedy:
@@ -153,6 +154,20 @@ class TestTruncationLift:
             net = a.truncation_lift_net(fam, eta)
             assert net.extras["M"] == 2.0
             assert a.verify_covering(fam, net).passed
+
+    def test_raised_cut_is_recounted(self, monkeypatch):
+        tail = a.TailSpec.power_law(2.0, 1.5, 1)
+        f = a.grid_function((F(-1), F(1)), F(1, 2), [0.0] * 4, tail)
+        fam = a.FamilySpec(name="tail", p=1.0, members=(f,), indices=(1,))
+        level_kernel = nets._level_kernel
+
+        def off_at_the_sup(members):
+            kernel = level_kernel(members)
+            return lambda M: [math.nextafter(v, math.inf) if M == 2.0 else v for v in kernel(M)]
+
+        monkeypatch.setattr(nets, "_level_kernel", off_at_the_sup)
+        with pytest.raises(a.GridError, match="recounts"):
+            a.truncation_lift_net(fam, 1.0)
 
 
 def _comparisons(centers, assignment, _distances) -> int:

@@ -1,5 +1,6 @@
 """Property-based invariants over randomly generated grid functions."""
 import math
+import re
 from fractions import Fraction as F
 
 import numpy as np
@@ -603,3 +604,155 @@ class TestPrunedNets:
             for m, j in zip(fam.members, assignment)
         ]
         assert _bits(net.distances) == _bits(lifted)
+
+
+# ---------------------------------------------------------------------------
+# the witness searches' family kernels against the per-member functions
+# ---------------------------------------------------------------------------
+
+_KERNEL_TRANSFORMS = st.sampled_from((
+    a.AbsPower(1.0), a.AbsPower(2.0), a.AbsPower(700.0), a.ClampPower(1.0),
+    a.ClampPower(1.5), a.Threshold(0.5), a.Threshold(0.0),
+))
+
+
+@st.composite
+def _scaled_function(draw):
+    """Zero-tail function on the lattice 1/S, S on both sides of 2**53.
+
+    Boxes start at an integer plus a few lattice steps, so for S near
+    2**62 the edges pass the guard and the lattice is rejected.
+    """
+    S = draw(_SCALES)
+    h = F(draw(st.integers(1, 3)), S)
+    n = draw(st.integers(1, 6))
+    start = draw(st.integers(-8, 8)) + F(draw(st.integers(0, 3)), S)
+    return a.grid_function((start, start + n * h), h, draw(_cell_values(n)))
+
+
+@st.composite
+def _wide_function(draw):
+    """Cells so long that the total lattice length reaches 2**53."""
+    den = draw(st.sampled_from((1, 3, 96)))
+    h = F(draw(st.integers(2**50, 2**52)), den)
+    n = draw(st.integers(1, 6))
+    return a.grid_function((-h, (n - 1) * h), h, draw(_cell_values(n)))
+
+
+@st.composite
+def _straddling_function(draw):
+    """A constant run over (-w, w): one run holds both -R and R for R < w."""
+    den = draw(st.sampled_from(_PRIMES + (96,)))
+    w = draw(st.integers(1, 12))
+    values = [draw(st.sampled_from((0.5, -1.25, 3.0)))] * (2 * w)
+    return a.grid_function((F(-w, den), F(w, den)), F(1, den), values)
+
+
+@st.composite
+def _kernel_family(draw):
+    """1-4 members: batched ones, and 2-d ones and those on lattices past
+    2**53, which the kernels leave to the per-member call."""
+    def member():
+        den = draw(st.sampled_from(_PRIMES + (96,)))
+        return draw(st.one_of(
+            _lattice_function(den), _tailed_function(den), _straddling_function(),
+            _scaled_function(), _wide_function(), _coprime_pair().map(lambda fg: _product(*fg)),
+        ))
+
+    return [member() for _ in range(draw(st.integers(1, 4)))]
+
+
+def _run_edges(members):
+    """Left edge, right edge and midpoint of every run of the 1-d members,
+    and half the distance to 0 from a run's nearer end."""
+    out = []
+    for m in members:
+        if m.dim != 1:
+            continue
+        bounds, _ = m.runs
+        (lo, _), = m.box
+        edges = [float(lo + int(b) * m.spacing[0]) for b in bounds]
+        for l, r in zip(edges[:-1], edges[1:]):
+            out += [abs(l), abs(r), abs(0.5 * (l + r)), 0.5 * min(abs(l), abs(r))]
+    return out
+
+
+def _outcome(values):
+    """The bits of every value, or the error the computation raised."""
+    try:
+        return _bits(values())
+    except (a.GridError, OverflowError) as e:
+        return type(e), str(e)
+
+
+class TestFamilyKernels:
+    """Both kernels answer every candidate as the per-member calls do."""
+
+    @staticmethod
+    @np.errstate(over="ignore")  # AbsPower(700) overflows on either side
+    def _check(build, single, members, candidates):
+        try:
+            kernel = build(members)
+        except a.GridError as e:
+            # the lattice is rejected when the kernel is built; the
+            # per-member call rejects it at the first candidate it sweeps
+            with pytest.raises(a.GridError, match=re.escape(str(e))):
+                for c in candidates:
+                    [single(m, c) for m in members]
+            return
+        for c in candidates:
+            assert _outcome(lambda: kernel(c)) == _outcome(lambda: [single(m, c) for m in members])
+
+    def _check_outside(self, t, members, radii):
+        self._check(
+            lambda ms: quadrature._outside_kernel(ms, t),
+            lambda m, R: a.integrate_transformed(m, t, a.Outside(R)), members, radii,
+        )
+
+    @given(_kernel_family(), _KERNEL_TRANSFORMS, st.data())
+    def test_outside_kernel_matches_integrate_transformed(self, members, t, data):
+        radii = data.draw(st.lists(
+            st.one_of(st.sampled_from(_run_edges(members) or [1.0]), st.floats(0.0, 16.0)),
+            min_size=1, max_size=8,
+        ))
+        self._check_outside(t, members, radii)
+
+    @given(_kernel_family(), st.data())
+    def test_level_kernel_matches_superlevel_measure(self, members, data):
+        # cuts equal to member values, |values| and the tail sups, and one
+        # negative cut, where every measure is inf
+        values = [float(v) for m in members for v in m.values.ravel()[:8]]
+        values += [m.tail.sup() for m in members]
+        cuts = [abs(v) for v in data.draw(st.lists(st.sampled_from(values), min_size=1, max_size=6))]
+        self._check(quadrature._level_kernel, a.superlevel_measure, members, cuts + [-0.5])
+
+    def test_integer_sums_past_2_53_take_the_per_member_call(self):
+        L, S = 3650211806964173, 2**53 + 1
+        # a float division of these sums rounds away from the Fraction's
+        assert float(3 * L) / 5 != float(F(3 * L, 5))
+        assert 3 / float(S) != float(F(3, S))
+        wide = a.grid_function((0, 3 * F(L, 5)), F(L, 5), [1.0, 2.0, 3.0])
+        fine = a.grid_function((0, F(3, S)), F(1, S), [1.0, 2.0, 3.0])
+        self._check(quadrature._level_kernel, a.superlevel_measure, [wide, fine], [0.5])
+        self._check_outside(a.ClampPower(1.0), [wide, fine], [0.0])
+
+    def test_a_lattice_past_the_guard_raises_when_the_kernel_is_built(self):
+        h = F(1, 2**61)
+        f = a.grid_function((2, 2 + h), h, [1.0])  # left edge 2**62 on 1/2**61
+        with pytest.raises(a.GridError):
+            quadrature._outside_kernel([f], a.ClampPower(1.0))
+        with pytest.raises(a.GridError):
+            quadrature._level_kernel([f])
+        # and the per-member calls raise the same error
+        self._check_outside(a.ClampPower(1.0), [f], [1.0])
+        self._check(quadrature._level_kernel, a.superlevel_measure, [f], [0.5])
+
+    def test_zero_outside_mass_of_an_overflowing_group_is_no_nan(self):
+        f = a.grid_function((-1, 1), F(1, 4), [0.5, 0.5, 3.0, 3.0, 3.0, 3.0, 0.5, 0.5])
+        t = a.AbsPower(700.0)  # 3**700 overflows to inf
+        with np.errstate(over="ignore"):
+            kernel = quadrature._outside_kernel([f], t)
+            for R in (0.5, 0.25, 2.0):
+                assert _bits(kernel(R)) == _bits([a.integrate_transformed(f, t, a.Outside(R))])
+        assert not math.isnan(kernel(0.5)[0])
+        assert math.isinf(kernel(0.25)[0])
