@@ -12,10 +12,10 @@ and level cuts come from one doubling-plus-bisection search (_search_up,
 also used for the truncation lift's cut): its witness is a candidate whose
 own all-member evaluation passed, and a pass detail reports that
 evaluation.  Each candidate is one family pass of a quadrature kernel
-(_outside_kernel or _level_kernel); the reported worst member, at the
-witness or else at the last failing candidate, is then recounted with the
-per-member integrate_transformed or superlevel_measure, and any difference
-raises GridError.
+(_outside_kernel or _level_kernel); the worst member at every candidate,
+the one that decides it, is then recounted with the per-member
+integrate_transformed or superlevel_measure, and any difference raises
+GridError.
 
 Translation is scanned over a declared finite shift lattice, never over
 all real shifts, in doubling blocks of magnitudes, each member through the
@@ -191,15 +191,20 @@ def _search_up(
     up to the passing one.  Returns (witness or None, worst value at the
     witness, last_fail, evals) where last_fail is (candidate, worst value,
     worst position).  The witness always passed its own all-member
-    evaluation.  The reported worst member, at the witness or else at the
-    last failing candidate, is recounted with single, the per-member
-    public function.
+    evaluation.  The worst member at every candidate, the one that decides
+    it, is recounted with single, the per-member public function.
     """
+
+    def worst_at(cand: float) -> tuple[float, int]:
+        worst, pos = _worst(batch(cand))
+        _recount(family, single, cand, worst, pos)
+        return worst, pos
+
     evals = 0
     cand = first
     last_fail = None
     while cand <= bound * (1.0 + 1e-12):
-        worst, pos = _worst(batch(cand))
+        worst, pos = worst_at(cand)
         evals += 1
         if worst < threshold:
             lo = last_fail[0] if last_fail is not None else floor
@@ -207,18 +212,15 @@ def _search_up(
             if lo is not None:
                 for _ in range(_BISECT_STEPS):
                     mid = 0.5 * (lo + hi)
-                    w, p = _worst(batch(mid))
+                    w, p = worst_at(mid)
                     evals += 1
                     if w < threshold:
                         hi, worst, pos = mid, w, p
                     else:
                         lo = mid
-            _recount(family, single, hi, worst, pos)
             return hi, worst, last_fail, evals
         last_fail = (cand, worst, pos)
         cand *= 2.0
-    if last_fail is not None:
-        _recount(family, single, *last_fail)
     return None, None, last_fail, evals
 
 
@@ -231,8 +233,13 @@ def _recount(
 ) -> None:
     """Raise GridError unless single(member at pos, cand) gives worst.
 
-    The family kernels and the per-member functions share no grouping and
-    no summation, so a fault in either one shows as a mismatch.
+    This checks one member, the worst, at one candidate.  For a member
+    the family kernel batched, the kernel and the per-member function
+    share no grouping and no summation, so a fault in either one shows
+    as a mismatch.  A member the kernel left to the per-member call is
+    compared with that same call and so checks nothing.  The members
+    below the worst are not recounted, so a fault that makes another
+    member read low goes unseen.
     """
     recount = single(family.members[pos], cand)
     if recount != worst:

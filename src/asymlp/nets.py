@@ -10,9 +10,9 @@ eta-net for the originals in the clamped metric — re-verified directly.
 The cut comes from the witness search of criteria (doubling from 2, then
 bisection down towards 1), one family pass of the level kernel per
 candidate; when it lies below the largest power-law tail sup it is raised
-to that sup, since truncate refuses to cut into a tail.  The reported
-worst member, at the final cut or else at the last failing one, is
-recounted with superlevel_measure.
+to that sup, since truncate refuses to cut into a tail.  The worst
+member at every cut tried, the raised one included, is recounted with
+superlevel_measure.
 
 Every first-fit loop (greedy_net, covering_profile and the lift) runs
 through one core that skips a candidate center when an exact lower bound

@@ -213,7 +213,7 @@ def _group_exact(tvals: np.ndarray, counts: np.ndarray, scale: int, num: int = 1
     order = np.argsort(tv, kind="stable")
     tv = tv[order]
     ln = ln[order]
-    cuts = np.concatenate(([0], np.flatnonzero(tv[1:] != tv[:-1]) + 1))
+    cuts = _block_starts(tv)
     return math.fsum(_group_terms(tv[cuts], np.add.reduceat(ln, cuts), num, scale))
 
 
@@ -231,6 +231,38 @@ def _group_terms(values: np.ndarray, counts: np.ndarray, num: int, den: int) -> 
     return [float(Fraction(int(c) * num, den)) * float(v) for v, c in zip(values, counts)]
 
 
+def _block_starts(*keys: np.ndarray) -> np.ndarray:
+    """Start of every block of consecutive entries that agree on each key."""
+    new = np.zeros(len(keys[0]), dtype=bool)
+    new[:1] = True
+    for k in keys:
+        new[1:] |= k[1:] != k[:-1]
+    return np.flatnonzero(new)
+
+
+def _fsum_by(owners: np.ndarray, terms: list[float], keys: np.ndarray) -> list[float]:
+    """``math.fsum`` of the terms of each key; owners are in ascending order."""
+    lo = np.searchsorted(owners, keys, side="left").tolist()
+    hi = np.searchsorted(owners, keys, side="right").tolist()
+    return [math.fsum(terms[i:j]) for i, j in zip(lo, hi)]
+
+
+def _overlap(fl: np.ndarray, fr: np.ndarray, R: float) -> np.ndarray:
+    """Float length of each interval [fl, fr] inside [-R, R]."""
+    return np.clip(np.minimum(fr, R) - np.maximum(fl, -R), 0.0, None)
+
+
+def _outside_masks(inside: np.ndarray, full) -> tuple[np.ndarray, np.ndarray]:
+    """Cells with no overlap with the ball, and cells partly inside it.
+
+    inside is each cell's float overlap from ``_overlap`` (a product of
+    them in two dimensions) and full its float measure.  A cell whose
+    overlap reaches full is wholly inside and adds nothing.
+    """
+    out = inside == 0.0
+    return out, ~out & (inside < full)
+
+
 def _outside(
     tvals: np.ndarray,
     counts: np.ndarray,
@@ -246,8 +278,7 @@ def _outside(
     their exact grouped mass; partly-inside cells add (full - inside) * T,
     summed once with ``math.fsum``.
     """
-    out = inside == 0.0
-    partial = ~out & (inside < full)
+    out, partial = _outside_masks(inside, full)
     exact = _group_exact(np.where(out, tvals, 0.0), counts, den, num)
     return exact + math.fsum((full - inside)[partial] * tvals[partial])
 
@@ -274,8 +305,8 @@ def _reduce_region(
         R = float(region.radius)
         fl = left.astype(np.float64) / scale
         fr = (left + lengths).astype(np.float64) / scale
-        inside = np.clip(np.minimum(fr, R) - np.maximum(fl, -R), 0.0, None)
-        return _outside(tvals, lengths, 1, scale, inside, lengths.astype(np.float64) / scale)
+        full = lengths.astype(np.float64) / scale
+        return _outside(tvals, lengths, 1, scale, _overlap(fl, fr, R), full)
 
     raise GridError(f"unknown region {region!r}")
 
@@ -391,9 +422,24 @@ def _grid_integral_2d(f: GridFunction, transform: Transform, region: Region) -> 
     overlaps = []
     for (a, _), h, n in zip(f.box, f.spacing, f.counts):
         left = float(a) + float(h) * np.arange(n)
-        overlaps.append(np.clip(np.minimum(left + float(h), R) - np.maximum(left, -R), 0.0, None))
+        overlaps.append(_overlap(left, left + float(h), R))
     area = float(f.spacing[0]) * float(f.spacing[1])
     return _outside(tvals, ones, num, den, np.outer(*overlaps).ravel(), area)
+
+
+def _with_tail(f: GridFunction, transform: Transform, region: Region, grid) -> float:
+    """grid() plus the tail part: the integral of T(f) over the region.
+
+    A Threshold below zero gives its degenerate measure and a divergent
+    tail gives math.inf, in both cases without calling grid.
+    """
+    degenerate = _degenerate_threshold(transform, region)
+    if degenerate is not None:
+        return degenerate
+    tail = _tail_part(f.tail, transform, region)
+    if tail == math.inf:
+        return math.inf
+    return grid() + tail
 
 
 def integrate_transformed(f: GridFunction, transform: Transform, region: Region = None) -> float:
@@ -403,15 +449,8 @@ def integrate_transformed(f: GridFunction, transform: Transform, region: Region 
     both the cell part (exact masses) and the power-law tail (closed form)
     are evaluated without discretisation error.
     """
-    degenerate = _degenerate_threshold(transform, region)
-    if degenerate is not None:
-        return degenerate
-    tail = _tail_part(f.tail, transform, region)
-    if tail == math.inf:
-        return math.inf
-    if f.dim == 1:
-        return _sweep(f, transform, region) + tail
-    return _grid_integral_2d(f, transform, region) + tail
+    grid = _sweep if f.dim == 1 else _grid_integral_2d
+    return _with_tail(f, transform, region, lambda: grid(f, transform, region))
 
 
 def difference_integral(
@@ -594,17 +633,15 @@ def _group_rows(tvals: np.ndarray, lengths: np.ndarray, scale: int) -> list[floa
     """
     lengths = np.where((tvals != 0.0) & (lengths > 0), lengths, 0)
     order = tvals.argsort(axis=1)
-    tv = np.take_along_axis(tvals, order, axis=1)
-    new = np.ones(tv.shape, dtype=bool)
-    new[:, 1:] = tv[:, 1:] != tv[:, :-1]
-    cuts = np.flatnonzero(new)
+    tv = np.take_along_axis(tvals, order, axis=1).ravel()
+    rows, width = tvals.shape
+    cuts = _block_starts(np.arange(tv.size) // width, tv)
     sums = np.add.reduceat(np.take_along_axis(lengths, order, axis=1).ravel(), cuts)
     # a group of zero-length pieces is no group of the sweep
     kept = sums > 0
     cuts, sums = cuts[kept], sums[kept]
-    terms = _group_terms(tv.ravel()[cuts], sums, 1, scale) if len(cuts) else []
-    ends = np.searchsorted(cuts // tv.shape[1], np.arange(len(tv) + 1)).tolist()
-    return [math.fsum(terms[i:j]) for i, j in zip(ends[:-1], ends[1:])]
+    terms = _group_terms(tv[cuts], sums, 1, scale) if len(cuts) else []
+    return _fsum_by(cuts // width, terms, np.arange(rows))
 
 
 def superlevel_measure(f: GridFunction, level: float) -> float:
@@ -623,23 +660,6 @@ def superlevel_set(f: GridFunction, level: float) -> MeasurableSet:
 # ---------------------------------------------------------------------------
 # family kernels of the witness searches
 # ---------------------------------------------------------------------------
-
-def _block_starts(*keys: np.ndarray) -> np.ndarray:
-    """Start of every block of consecutive entries that agree on each key."""
-    new = np.zeros(len(keys[0]), dtype=bool)
-    new[:1] = True
-    for k in keys:
-        new[1:] |= k[1:] != k[:-1]
-    return np.flatnonzero(new)
-
-
-def _fsum_by(owners: np.ndarray, terms: np.ndarray, keys: np.ndarray) -> list[float]:
-    """``math.fsum`` of the terms of each key; owners are in ascending order."""
-    lo = np.searchsorted(owners, keys, side="left").tolist()
-    hi = np.searchsorted(owners, keys, side="right").tolist()
-    terms = terms.tolist()
-    return [math.fsum(terms[i:j]) for i, j in zip(lo, hi)]
-
 
 class _FamilyRuns:
     """Every member's runs on its sweep lattice, concatenated in member order.
@@ -678,29 +698,24 @@ class _FamilyRuns:
         grid holds the grid parts of the batched members, in their order;
         the other members make the per-member call.
         """
-        degenerate = _degenerate_threshold(transform, region)
-        if degenerate is not None:
-            return [degenerate] * len(self.members)
         grid = dict(zip(self.batched, grid))
-        out = []
-        for i, m in enumerate(self.members):
-            if i not in grid:
-                out.append(integrate_transformed(m, transform, region))
-                continue
-            tail = _tail_part(m.tail, transform, region)
-            out.append(math.inf if tail == math.inf else grid[i] + tail)
-        return out
+        return [
+            _with_tail(m, transform, region, lambda i=i: grid[i]) if i in grid
+            else integrate_transformed(m, transform, region)
+            for i, m in enumerate(self.members)
+        ]
 
 
 def _outside_kernel(members, transform: Transform):
     """R -> every member's ``integrate_transformed(m, transform, Outside(R))``.
 
     Built once, with one group per member and transformed value; a call
-    answers one radius for the whole family.  Each group's integer length
-    outside R is divided once by its member's scale, the partly-inside
-    runs add the float terms of ``_outside``, and each member's two sums
-    are ``math.fsum``-ed as there: every value is the per-member float,
-    bit for bit.
+    answers one radius for the whole family.  Runs are clipped and split
+    by the ``_overlap`` and ``_outside_masks`` of the per-member reduction;
+    each group's integer length outside R is divided once by its member's
+    scale, the partly-inside runs add the float terms of ``_outside``, and
+    each member's two sums are ``math.fsum``-ed as there: every value is
+    the per-member float, bit for bit.
     """
     runs = _FamilyRuns(members)
     tv = _apply(transform, runs.values)
@@ -713,15 +728,17 @@ def _outside_kernel(members, transform: Transform):
     cuts = _block_starts(pos, tv)
 
     def values(R: float) -> list[float]:
-        inside = np.clip(np.minimum(fr, R) - np.maximum(fl, -R), 0.0, None)
-        out = inside == 0.0
+        inside = _overlap(fl, fr, R)
+        out, partial = _outside_masks(inside, full)
         sums = np.add.reduceat(np.where(out, lengths, 0), cuts)
         # a group with no mass outside R adds no term, not even 0 * inf
         kept = (sums > 0) & (tv[cuts] != 0.0)
         groups = cuts[kept]
-        exact = _fsum_by(pos[groups], sums[kept] / scale[groups] * tv[groups], runs.batched)
-        partial = np.flatnonzero(~out & (inside < full))
-        rest = _fsum_by(pos[partial], (full - inside)[partial] * tv[partial], runs.batched)
+        terms = sums[kept] / scale[groups] * tv[groups]
+        exact = _fsum_by(pos[groups], terms.tolist(), runs.batched)
+        partial = np.flatnonzero(partial)
+        terms = (full - inside)[partial] * tv[partial]
+        rest = _fsum_by(pos[partial], terms.tolist(), runs.batched)
         return runs.values_at(transform, Outside(R), [e + r for e, r in zip(exact, rest)])
 
     return values

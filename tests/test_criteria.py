@@ -96,15 +96,21 @@ class TestLevelCondition:
         assert out.scan["to"] <= fam.sup_abs() + 1.0
 
 
-def _one_ulp_high(kernel_of):
-    """kernel_of, with the worst member of every answer read one ulp high."""
+def _one_ulp_high(kernel_of, first_only=False):
+    """kernel_of, with the worst member of every answer read one ulp high.
+
+    With first_only, only the first answer of each kernel is off.
+    """
     def build(*args):
         kernel = kernel_of(*args)
+        answers = []
 
         def values(cand):
             out = kernel(cand)
-            i = out.index(max(out))
-            out[i] = math.nextafter(out[i], math.inf)
+            if not (first_only and answers):
+                i = out.index(max(out))
+                out[i] = math.nextafter(out[i], math.inf)
+            answers.append(cand)
             return out
 
         return values
@@ -126,7 +132,17 @@ class TestWitnessSearch:
             with pytest.raises(a.GridError, match="recounts"):
                 check(fam, 0.5)
 
-    def test_tail_searches_make_at_most_two_per_member_outside_calls(self, monkeypatch):
+    def test_recount_catches_a_kernel_off_before_the_witness_only(self, monkeypatch):
+        fam = a.u_family(10, 1.0)
+        for check, kernel in ((a.check_tail, "_outside_kernel"), (a.check_level, "_level_kernel")):
+            out = check(fam, 0.5)
+            # the first candidate fails and a later one is the witness
+            assert out.passed and out.witness > out.scan["from"]
+            monkeypatch.setattr(criteria, kernel, _one_ulp_high(getattr(quadrature, kernel), True))
+            with pytest.raises(a.GridError, match=f"candidate {out.scan['from']:.6g}: member"):
+                check(fam, 0.5)
+
+    def test_tail_searches_make_one_per_member_outside_call_per_candidate(self, monkeypatch):
         calls = []
         integrate = quadrature.integrate_transformed
 
@@ -140,7 +156,8 @@ class TestWitnessSearch:
         report = a.full_report(a.u_family(16, 1.0), [0.5])
         tail_searches = [e for e in report.entries if e.condition in ("tail", "lp-tail")]
         assert len(tail_searches) == 2
-        assert 0 < len(calls) <= 2 * len(tail_searches)
+        # the recount of each candidate's worst member, not one call per member
+        assert len(calls) == sum(e.scan["evaluations"] for e in tail_searches)
 
 
 class TestTranslationCondition:
