@@ -6,20 +6,24 @@ Runs ``perfbench/run.py --trace 0`` for every workload of
 ``scripts/output_digests.py`` once, in each checkout, and writes OUT as
 JSON: per checkout, every run's end-to-end metrics, answer digest and
 failure count, the median and quartiles of each metric, and the digest
-lines.  With two checkouts the runs alternate (first, second, first, ...)
-so a slow phase of a shared machine hits both alike, and OUT also counts
-the seeds on which the second checkout is better:
+lines.  With two checkouts the runs alternate, and each seed swaps which
+checkout goes first (first, second; second, first; ...), so a slow phase
+of a shared machine hits both alike.  OUT then also counts the seeds on
+which the second checkout is better:
 
     python3 scripts/bench_record.py BENCH.json \\
         --checkout parent=../parent --checkout change=.
 
 A checkout is LABEL=DIR; without one, this repository is recorded as
-"change".  Each run lasts about ``run_seconds`` plus ten seconds of
+"change".  Each is labelled with ``git describe --always --dirty`` or,
+where that prints nothing (a ``git archive`` copy), with "sha256:" and
+the first 12 hex digits of a digest of its ``src/asymlp/*.py``.  Each run lasts about ``run_seconds`` plus ten seconds of
 set-up, so two checkouts take about 40 minutes.
 """
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import statistics
 import subprocess
@@ -65,7 +69,12 @@ def _commit(checkout: Path) -> str:
     proc = subprocess.run(
         ["git", "describe", "--always", "--dirty"], cwd=checkout, capture_output=True, text=True
     )
-    return proc.stdout.strip()
+    if proc.stdout.strip():
+        return proc.stdout.strip()
+    digest = hashlib.sha256()
+    for path in sorted((checkout / "src" / "asymlp").glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return "sha256:" + digest.hexdigest()[:12]
 
 
 def _digests(checkout: Path) -> list[str]:
@@ -89,7 +98,8 @@ def main(argv=None) -> int:
     runs = {label: {w: [] for w in workloads} for label in checkouts}
     for w in workloads:
         for seed in SEEDS:
-            for label, checkout in checkouts.items():
+            order = list(checkouts.items())
+            for label, checkout in order if seed % 2 else order[::-1]:
                 runs[label][w].append(_run(checkout, w, seed, seconds))
                 print(label, w, seed, runs[label][w][-1].get("metrics"), file=sys.stderr)
 

@@ -12,16 +12,20 @@ and level cuts come from one doubling-plus-bisection search (_search_up,
 also used for the truncation lift's cut): its witness is a candidate whose
 own all-member evaluation passed, and a pass detail reports that
 evaluation.  Each candidate is one family pass of a quadrature kernel
-(_outside_kernel or _level_kernel); the worst member at every candidate,
-the one that decides it, is then recounted with the per-member
-integrate_transformed or superlevel_measure, and any difference raises
-GridError.
+(_outside_kernel or _level_kernel), or, for a family the kernels' batch
+gate refuses, one per-member integrate_transformed or superlevel_measure
+call per member.
 
 Translation is scanned over a declared finite shift lattice, never over
 all real shifts, in doubling blocks of magnitudes, each member through the
-batched ``translation_profile``.  The worst member at every scanned shift,
-the offender included, is then recounted on the per-shift sweep, which
-shares no merge with the batch; any difference raises GridError.
+batched ``translation_profile``.
+
+One helper, ``_worst``, picks the deciding worst member of every search
+candidate and scanned shift, the lift's raised cut included, and
+recounts it with the per-member public function (the per-shift sweep for
+translation) whenever a kernel gave its value; any difference raises
+GridError.  A value that already came from the per-member call is not
+computed twice.
 """
 from __future__ import annotations
 
@@ -165,18 +169,39 @@ class ConditionReport:
 # witness search plumbing
 # ---------------------------------------------------------------------------
 
-def _worst(values: list[float]) -> tuple[float, int]:
-    """The largest value and the position of its first occurrence."""
+def _worst(family: FamilySpec, cand, single: Callable, values: list[float] | None = None):
+    """The largest member value at cand and the position of its first occurrence.
+
+    values, when given, come from a batched kernel: the worst of them is
+    then recounted with single(member, cand), the per-member public
+    function, and any difference raises GridError.  The two share neither
+    merge nor grouping (``_group_fsums`` or one ``reduceat`` against
+    ``_group_exact``), so a fault in either one at the deciding member
+    shows as a mismatch; the members below the worst are not recounted,
+    so a fault that makes another member read low goes unseen.
+    Without values every member makes the per-member call and nothing is
+    recounted: a second call would only repeat the first.
+    """
+    recount = values is not None
+    if values is None:
+        values = [single(m, cand) for m in family.members]
     worst, pos = -math.inf, 0
     for i, v in enumerate(values):
         if v > worst:
             worst, pos = v, i
+    if recount:
+        again = single(family.members[pos], cand)
+        if again != worst:
+            raise GridError(
+                f"candidate {float(cand):.6g}: member {family.indices[pos]} recounts "
+                f"to {again!r}, the kernel gave {worst!r}"
+            )
     return worst, pos
 
 
 def _search_up(
     family: FamilySpec,
-    batch: Callable[[float], list[float]],
+    kernel: Callable[[float], list[float]] | None,
     single: Callable[[GridFunction, float], float],
     threshold: float,
     first: float,
@@ -185,20 +210,19 @@ def _search_up(
 ):
     """Doubling candidates first, 2*first, ... <= bound; bisect after a pass.
 
-    batch(cand) gives every member's value at cand in one family pass.
-    The bisection runs from the last failing candidate, or from floor when
-    the first candidate already passes (no bisection when floor is None),
-    up to the passing one.  Returns (witness or None, worst value at the
-    witness, last_fail, evals) where last_fail is (candidate, worst value,
-    worst position).  The witness always passed its own all-member
-    evaluation.  The worst member at every candidate, the one that decides
-    it, is recounted with single, the per-member public function.
+    kernel(cand) gives every member's value at cand in one family pass;
+    a kernel of None, a family the batch gate refused, takes single per
+    member.  The bisection runs from the last failing candidate, or from
+    floor when the first candidate already passes (no bisection when
+    floor is None), up to the passing one.  Returns (witness or None,
+    worst value at the witness, last_fail, evals) where last_fail is
+    (candidate, worst value, worst position).  The witness always passed
+    its own all-member evaluation, and every candidate's worst member is
+    recounted as ``_worst`` says.
     """
 
     def worst_at(cand: float) -> tuple[float, int]:
-        worst, pos = _worst(batch(cand))
-        _recount(family, single, cand, worst, pos)
-        return worst, pos
+        return _worst(family, cand, single, None if kernel is None else kernel(cand))
 
     evals = 0
     cand = first
@@ -224,36 +248,11 @@ def _search_up(
     return None, None, last_fail, evals
 
 
-def _recount(
-    family: FamilySpec,
-    single: Callable[[GridFunction, float], float],
-    cand: float,
-    worst: float,
-    pos: int,
-) -> None:
-    """Raise GridError unless single(member at pos, cand) gives worst.
-
-    This checks one member, the worst, at one candidate.  For a member
-    the family kernel batched, the kernel and the per-member function
-    share no grouping and no summation, so a fault in either one shows
-    as a mismatch.  A member the kernel left to the per-member call is
-    compared with that same call and so checks nothing.  The members
-    below the worst are not recounted, so a fault that makes another
-    member read low goes unseen.
-    """
-    recount = single(family.members[pos], cand)
-    if recount != worst:
-        raise GridError(
-            f"candidate {cand:.6g}: member {family.indices[pos]} recounts to "
-            f"{recount!r}, the search gave {worst!r}"
-        )
-
-
 def _search_condition(
     family: FamilySpec,
     condition: str,
     eps: float,
-    batch: Callable[[float], list[float]],
+    kernel: Callable[[float], list[float]] | None,
     single: Callable[[GridFunction, float], float],
     threshold: float,
     first: float,
@@ -267,7 +266,7 @@ def _search_condition(
     "worst superlevel measure").
     """
     witness, worst, last_fail, evals = _search_up(
-        family, batch, single, threshold, first, bound
+        family, kernel, single, threshold, first, bound
     )
     scan = {
         "kind": "doubling+bisect",
@@ -385,7 +384,11 @@ def _translation_condition(
         "threshold": threshold,
         "certified_upper_bounds": certified,
     }
-    scanned = []  # (signed shift, worst, position of the worst member)
+
+    def single(m: GridFunction, y: Fraction) -> float:
+        return _defect(m, y, transform)
+
+    scanned = 0
     violation = None  # (magnitude, signed shift, worst, idx)
     todo = _shift_blocks(lattice)[::-1]
     while todo and violation is None:
@@ -401,24 +404,14 @@ def _translation_condition(
             todo += [block[half:], block[:half]]
             continue
         for j, y in enumerate(block):
-            worst, pos = _worst([row[j] for row in rows])
-            scanned.append((y, worst, pos))
+            # the worst member at every scanned shift, the offender
+            # included, is recounted on the per-shift sweep
+            worst, pos = _worst(family, y, single, [row[j] for row in rows])
+            scanned += 1
             if not worst < threshold:
                 violation = (abs(y), y, worst, family.indices[pos])
                 break
-
-    # Recount the worst member at every scanned shift, the offender at the
-    # violating one included, on the per-shift sweep: the kernel and the
-    # sweep share no merge, so a fault in either one shows as a mismatch.
-    for y, worst, pos in scanned:
-        recount = _defect(family.members[pos], y, transform)
-        if recount != worst:
-            raise GridError(
-                f"shift {float(y):.6g}: member {family.indices[pos]} recounts to "
-                f"{recount!r}, the scan gave {worst!r}"
-            )
-    scan["evaluations"] = len(scanned)
-    scan["rechecks"] = len(scanned)
+    scan["evaluations"] = scan["rechecks"] = scanned
 
     if violation is not None and violation[0] == lattice.step:
         mag, y, worst, idx = violation

@@ -89,6 +89,14 @@ def fraction_gcd(a: Fraction, b: Fraction) -> Fraction:
 # analytic tail integrals
 # ---------------------------------------------------------------------------
 
+def _pow(x: float, y: float) -> float:
+    """x ** y for the closed-form tail and bound terms; GridError on overflow."""
+    try:
+        return x**y
+    except OverflowError:
+        raise GridError(f"closed-form term {x!r} ** {y!r} overflows a float") from None
+
+
 def power_tail_integral(coef: float, beta: float, start: float, p: float) -> float:
     """integral_start^inf (coef * x**-beta)**p dx, or inf when divergent.
 
@@ -98,14 +106,14 @@ def power_tail_integral(coef: float, beta: float, start: float, p: float) -> flo
         return 0.0
     if beta * p <= 1.0:
         return math.inf
-    return coef**p * start ** (1.0 - beta * p) / (beta * p - 1.0)
+    return _pow(coef, p) * _pow(start, 1.0 - beta * p) / (beta * p - 1.0)
 
 
 def clamped_power_tail_integral(coef: float, beta: float, start: float, p: float) -> float:
     """integral_start^inf min(coef * x**-beta, 1)**p dx, or inf when divergent."""
     if coef == 0.0:
         return 0.0
-    saturation = coef ** (1.0 / beta)  # coef * x**-beta >= 1 iff x <= saturation
+    saturation = _pow(coef, 1.0 / beta)  # coef * x**-beta >= 1 iff x <= saturation
     if start >= saturation:
         return power_tail_integral(coef, beta, start, p)
     if beta * p <= 1.0:
@@ -155,12 +163,12 @@ class TailSpec:
         """Largest tail value (attained at the onset radius)."""
         if self.is_zero:
             return 0.0
-        return self.coefficient * float(self.onset) ** (-self.exponent)
+        return self.coefficient * _pow(float(self.onset), -self.exponent)
 
     def value_at(self, x: float) -> float:
         if self.is_zero or x <= float(self.onset):
             return 0.0
-        return self.coefficient * x ** (-self.exponent)
+        return self.coefficient * _pow(x, -self.exponent)
 
     def _start(self, start: float | None) -> float:
         base = float(self.onset) if self.kind == "power_law" else 0.0
@@ -180,7 +188,7 @@ class TailSpec:
         """Length of {x > start : tail(x) > level} (strict inequality)."""
         if self.is_zero or level <= 0.0:
             return math.inf if (not self.is_zero and level <= 0.0) else 0.0
-        cut = (self.coefficient / level) ** (1.0 / self.exponent)
+        cut = _pow(self.coefficient / level, 1.0 / self.exponent)
         return max(0.0, cut - self._start(start))
 
 

@@ -10,9 +10,10 @@ eta-net for the originals in the clamped metric — re-verified directly.
 The cut comes from the witness search of criteria (doubling from 2, then
 bisection down towards 1), one family pass of the level kernel per
 candidate; when it lies below the largest power-law tail sup it is raised
-to that sup, since truncate refuses to cut into a tail.  The worst
-member at every cut tried, the raised one included, is recounted with
-superlevel_measure.
+to that sup, since truncate refuses to cut into a tail.  Every cut tried,
+the raised one included, goes through criteria's ``_worst``, which
+recounts the worst member with superlevel_measure when the kernel gave
+its value.
 
 Every first-fit loop (greedy_net, covering_profile and the lift) runs
 through one core that skips a candidate center when an exact lower bound
@@ -45,7 +46,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .criteria import _recount, _search_up, _worst
+from .criteria import _search_up, _worst
 from .families import FamilySpec
 from .grid import GridError, GridFunction
 from .norms import alpha_distance, lp_distance
@@ -345,8 +346,7 @@ def _find_level_cut(family: FamilySpec, budget: float) -> tuple[float, float, in
     tail_sup = max(m.tail.sup() for m in family.members)
     if M < tail_sup:
         M = tail_sup
-        worst, pos = _worst(level(M))
-        _recount(family, superlevel_measure, M, worst, pos)
+        worst, _ = _worst(family, M, superlevel_measure, None if level is None else level(M))
         evals += 1
     return M, worst, evals
 

@@ -18,14 +18,18 @@ with no overlap exactly and adds the partly-inside remainders with one
 ``math.fsum``.
 
 ``translation_profile`` gives the defects of one member at a block of
-shifts in one vectorized pass, with its own merge and grouping; it
-returns the per-shift functions' floats, and those functions, which
-never call it, are its reference.  The witness searches' kernels,
-``_outside_kernel`` and ``_level_kernel``, work the same way across a
-family: built once from every member's runs, each answers one radius or
-cut for all members in a few numpy operations, with the floats of
-``integrate_transformed`` and ``superlevel_measure``, which stay their
-reference.
+shifts in one vectorized pass, with its own merge; it returns the
+per-shift functions' floats, and those functions, which never call it,
+are its reference.  The witness searches' kernels, ``_outside_kernel``
+and ``_level_kernel``, work the same way across a family: built once
+from every member's runs, each answers one radius or cut for all members
+in a few numpy operations, with the floats of ``integrate_transformed``
+and ``superlevel_measure``, which stay their reference.  One batched
+grouped sum, ``_group_fsums``, serves the profile's rows and the
+``Outside`` kernel; ``_group_exact`` stays the per-call one.  The
+kernels run only when ``_family_runs``, their batch gate, admits every
+member (1-d, lattice scale and total length below 2**53); for any other
+family the builders return None and the per-member calls answer.
 
 That conversion is one IEEE division when the lattice scale and every
 grouped integer sum are below 2**53: both are then exact doubles and the
@@ -51,6 +55,7 @@ from .grid import (
     MeasurableSet,
     TailSpec,
     _combine_tails,
+    _pow,
     as_fraction,
     clamped_power_tail_integral,
     power_tail_integral,
@@ -135,7 +140,7 @@ def _apply(transform: Transform, v: np.ndarray) -> np.ndarray:
 def _cap(transform: Transform, sup_abs: float) -> float:
     """Pointwise upper bound of the transformed value given |f| <= sup_abs."""
     if isinstance(transform, AbsPower):
-        return sup_abs**transform.p
+        return _pow(sup_abs, transform.p)
     if isinstance(transform, ClampPower):
         return min(sup_abs, 1.0) ** transform.p
     return 1.0
@@ -240,11 +245,34 @@ def _block_starts(*keys: np.ndarray) -> np.ndarray:
     return np.flatnonzero(new)
 
 
-def _fsum_by(owners: np.ndarray, terms: list[float], keys: np.ndarray) -> list[float]:
-    """``math.fsum`` of the terms of each key; owners are in ascending order."""
+def _fsum_by(owners: np.ndarray, terms: list[float], n: int) -> list[float]:
+    """``math.fsum`` of the terms of each owner 0..n-1; owners ascend."""
+    keys = np.arange(n)
     lo = np.searchsorted(owners, keys, side="left").tolist()
     hi = np.searchsorted(owners, keys, side="right").tolist()
     return [math.fsum(terms[i:j]) for i, j in zip(lo, hi)]
+
+
+def _group_fsums(owner, tv, lengths, cuts, scale, n: int) -> list[float]:
+    """``_group_exact`` of the entries of each owner 0..n-1, all at once.
+
+    Entries are sorted by (owner, T), and cuts, ``_block_starts(owner,
+    tv)``, starts each group.  A group adds T times its integer length
+    over scale, rounded once as in ``_group_terms``; a group with no
+    length or with T = 0 adds no term, not even 0 * inf.  scale is the
+    lattice of every entry, or one float per entry below 2**53 (the
+    batch gate of ``_family_runs``), where the quotient is the same
+    single division.  ``math.fsum`` rounds correctly in any order, so
+    each owner's float is the per-owner ``_group_exact``, bit for bit.
+    """
+    sums = np.add.reduceat(lengths, cuts)
+    kept = (sums > 0) & (tv[cuts] != 0.0)
+    cuts, sums = cuts[kept], sums[kept]
+    if isinstance(scale, np.ndarray):
+        terms = (sums / scale[cuts] * tv[cuts]).tolist()
+    else:
+        terms = _group_terms(tv[cuts], sums, 1, scale) if len(cuts) else []
+    return _fsum_by(owner[cuts], terms, n)
 
 
 def _overlap(fl: np.ndarray, fr: np.ndarray, R: float) -> np.ndarray:
@@ -351,8 +379,8 @@ def _abs_power_between(c: float, alpha: float, p: float, lo: float, hi: float) -
         return 0.0
     ap = alpha * p
     if ap == 1.0:
-        return c**p * math.log(hi / lo)
-    return c**p * (hi ** (1.0 - ap) - lo ** (1.0 - ap)) / (1.0 - ap)
+        return _pow(c, p) * math.log(hi / lo)
+    return _pow(c, p) * (_pow(hi, 1.0 - ap) - _pow(lo, 1.0 - ap)) / (1.0 - ap)
 
 
 def _tail_between(tail: TailSpec, transform: Transform, lo: float, hi: float) -> float:
@@ -366,14 +394,14 @@ def _tail_between(tail: TailSpec, transform: Transform, lo: float, hi: float) ->
     if isinstance(transform, AbsPower):
         return _abs_power_between(c, a, transform.p, lo, hi)
     if isinstance(transform, ClampPower):
-        sat = c ** (1.0 / a)
+        sat = _pow(c, 1.0 / a)
         flat = max(0.0, min(hi, sat) - lo)
         lo2 = max(lo, sat)
         return flat + _abs_power_between(c, a, transform.p, lo2, max(hi, lo2))
     if isinstance(transform, Threshold):
         if transform.level == 0.0:
             return hi - lo
-        cut = (c / transform.level) ** (1.0 / a)
+        cut = _pow(c / transform.level, 1.0 / a)
         return max(0.0, min(hi, cut) - lo)
     raise GridError(f"unknown transform {transform!r}")
 
@@ -618,30 +646,14 @@ def _profile_grid(
         left, right = merged[:, :-1], merged[:, 1:]
         in_f = edges.searchsorted(left, side="right")
         if live:
-            right = np.minimum(right, np.minimum(end, end - s))
+            right = np.maximum(np.minimum(right, np.minimum(end, end - s)), left)
         tvals = _apply(transform, padded[np.arange(1, 2 * n) - in_f] - padded[in_f])
-        out += _group_rows(tvals, right - left, scale)
+        order = tvals.argsort(axis=1)
+        tv = np.take_along_axis(tvals, order, axis=1).ravel()
+        lengths = np.take_along_axis(right - left, order, axis=1).ravel()
+        row = np.arange(tv.size) // (2 * n - 1)
+        out += _group_fsums(row, tv, lengths, _block_starts(row, tv), scale, len(s))
     return out
-
-
-def _group_rows(tvals: np.ndarray, lengths: np.ndarray, scale: int) -> list[float]:
-    """``_group_exact`` of every row of (tvals, lengths) at once.
-
-    Each group's integer sum is the sweep's, each is rounded once, and
-    ``math.fsum`` rounds correctly in any order: every row is the float
-    the sweep gives.
-    """
-    lengths = np.where((tvals != 0.0) & (lengths > 0), lengths, 0)
-    order = tvals.argsort(axis=1)
-    tv = np.take_along_axis(tvals, order, axis=1).ravel()
-    rows, width = tvals.shape
-    cuts = _block_starts(np.arange(tv.size) // width, tv)
-    sums = np.add.reduceat(np.take_along_axis(lengths, order, axis=1).ravel(), cuts)
-    # a group of zero-length pieces is no group of the sweep
-    kept = sums > 0
-    cuts, sums = cuts[kept], sums[kept]
-    terms = _group_terms(tv[cuts], sums, 1, scale) if len(cuts) else []
-    return _fsum_by(cuts // width, terms, np.arange(rows))
 
 
 def superlevel_measure(f: GridFunction, level: float) -> float:
@@ -661,102 +673,91 @@ def superlevel_set(f: GridFunction, level: float) -> MeasurableSet:
 # family kernels of the witness searches
 # ---------------------------------------------------------------------------
 
-class _FamilyRuns:
-    """Every member's runs on its sweep lattice, concatenated in member order.
+def _family_runs(members):
+    """Every member's runs on its sweep lattice, in member order, or None.
 
-    Run i belongs to the member at position pos[i] and has the left
-    lattice edge left[i], the length lengths[i] and the value values[i] on
-    the lattice 1/scale[i]; each member's runs begin at an entry of starts,
-    and batched lists the members' positions in that order.  2-d
-    members, and members whose lattice scale or total length reaches
-    2**53, are left out: their integer sums need not be exact doubles, and
-    the per-member call answers for them.  A lattice past 2**62 raises
-    GridError here, as ``_pw_of`` does.
+    Returns the arrays (pos, left, lengths, values, scale): run i belongs
+    to the member at position pos[i] and has the left lattice edge
+    left[i], the length lengths[i] and the value values[i] on the lattice
+    1/scale[i].  This is the batch gate of the kernels: it gives None,
+    and the per-member calls answer, unless every member is 1-d with a
+    lattice scale and a total length below 2**53, where every grouped
+    integer sum and scale is an exact double.  A lattice past 2**62
+    raises GridError here, as ``_pw_of`` does.
     """
-
-    def __init__(self, members):
-        self.members = members
-        # an empty part keeps the dtypes when every member is left out
-        parts = [(np.zeros(0, np.int64),) * 3 + (np.zeros(0),) * 2]
-        for i, m in enumerate(members):
-            if m.dim != 1:
-                continue
-            scale = _scale_for(m.box[0][0], m.spacing[0])
-            edges = _pw_of(m, scale).edges
-            if scale < _EXACT_INT and edges[-1] - edges[0] < _EXACT_INT:
-                n = len(edges) - 1
-                parts.append((
-                    np.full(n, i), edges[:-1], np.diff(edges), m.runs[1], np.full(n, float(scale))
-                ))
-        self.pos, self.left, self.lengths, self.values, self.scale = map(np.concatenate, zip(*parts))
-        self.starts = _block_starts(self.pos)
-        self.batched = self.pos[self.starts].tolist()
-
-    def values_at(self, transform: Transform, region: Region, grid: list[float]) -> list[float]:
-        """``integrate_transformed(m, transform, region)`` of every member.
-
-        grid holds the grid parts of the batched members, in their order;
-        the other members make the per-member call.
-        """
-        grid = dict(zip(self.batched, grid))
-        return [
-            _with_tail(m, transform, region, lambda i=i: grid[i]) if i in grid
-            else integrate_transformed(m, transform, region)
-            for i, m in enumerate(self.members)
-        ]
+    parts = []
+    for i, m in enumerate(members):
+        if m.dim != 1:
+            return None
+        scale = _scale_for(m.box[0][0], m.spacing[0])
+        edges = _pw_of(m, scale).edges
+        if scale >= _EXACT_INT or edges[-1] - edges[0] >= _EXACT_INT:
+            return None
+        n = len(edges) - 1
+        parts.append((np.full(n, i), edges[:-1], np.diff(edges), m.runs[1], np.full(n, float(scale))))
+    return tuple(map(np.concatenate, zip(*parts)))
 
 
 def _outside_kernel(members, transform: Transform):
     """R -> every member's ``integrate_transformed(m, transform, Outside(R))``.
 
-    Built once, with one group per member and transformed value; a call
-    answers one radius for the whole family.  Runs are clipped and split
-    by the ``_overlap`` and ``_outside_masks`` of the per-member reduction;
-    each group's integer length outside R is divided once by its member's
-    scale, the partly-inside runs add the float terms of ``_outside``, and
-    each member's two sums are ``math.fsum``-ed as there: every value is
-    the per-member float, bit for bit.
+    None when ``_family_runs`` refuses the family.  Built once, with one
+    group per member and transformed value; a call answers one radius for
+    the whole family.  Runs are clipped and split by the ``_overlap`` and
+    ``_outside_masks`` of the per-member reduction; the runs with no
+    overlap go through ``_group_fsums``, the partly-inside runs add the
+    float terms of ``_outside``, and each member's two sums are
+    ``math.fsum``-ed as there: every value is the per-member float, bit
+    for bit.
     """
-    runs = _FamilyRuns(members)
-    tv = _apply(transform, runs.values)
-    order = np.lexsort((tv, runs.pos))
-    pos, tv = runs.pos[order], tv[order]
-    left, lengths, scale = runs.left[order], runs.lengths[order], runs.scale[order]
+    runs = _family_runs(members)
+    if runs is None:
+        return None
+    pos, left, lengths, values, scale = runs
+    tv = _apply(transform, values)
+    order = np.lexsort((tv, pos))
+    pos, tv, left, lengths, scale = (x[order] for x in (pos, tv, left, lengths, scale))
     fl = left / scale
     fr = (left + lengths) / scale
     full = lengths / scale
     cuts = _block_starts(pos, tv)
+    n = len(members)
 
-    def values(R: float) -> list[float]:
+    def at(R: float) -> list[float]:
         inside = _overlap(fl, fr, R)
         out, partial = _outside_masks(inside, full)
-        sums = np.add.reduceat(np.where(out, lengths, 0), cuts)
-        # a group with no mass outside R adds no term, not even 0 * inf
-        kept = (sums > 0) & (tv[cuts] != 0.0)
-        groups = cuts[kept]
-        terms = sums[kept] / scale[groups] * tv[groups]
-        exact = _fsum_by(pos[groups], terms.tolist(), runs.batched)
+        exact = _group_fsums(pos, tv, np.where(out, lengths, 0), cuts, scale, n)
         partial = np.flatnonzero(partial)
-        terms = (full - inside)[partial] * tv[partial]
-        rest = _fsum_by(pos[partial], terms.tolist(), runs.batched)
-        return runs.values_at(transform, Outside(R), [e + r for e, r in zip(exact, rest)])
+        rest = _fsum_by(pos[partial], ((full - inside)[partial] * tv[partial]).tolist(), n)
+        region = Outside(R)
+        return [
+            _with_tail(m, transform, region, lambda g=e + r: g)
+            for m, e, r in zip(members, exact, rest)
+        ]
 
-    return values
+    return at
 
 
 def _level_kernel(members):
     """M -> every member's ``superlevel_measure(m, M)``, one pass per cut.
 
-    A member's grid part is the integer length of its runs with |v| > M,
-    strictly, divided once by its scale: the sweep's single group.
+    None when ``_family_runs`` refuses the family.  A member's grid part
+    is the integer length of its runs with |v| > M, strictly, divided
+    once by its scale: the sweep's single group.
     """
-    runs = _FamilyRuns(members)
-    mag = np.abs(runs.values)
-    scale = runs.scale[runs.starts]
+    runs = _family_runs(members)
+    if runs is None:
+        return None
+    pos, _, lengths, values, scale = runs
+    mag = np.abs(values)
+    starts = _block_starts(pos)
+    scale = scale[starts]
 
-    def values(M: float) -> list[float]:
-        M = float(M)
-        sums = np.add.reduceat(np.where(mag > M, runs.lengths, 0), runs.starts)
-        return runs.values_at(Threshold(M), None, (sums / scale).tolist())
+    def at(M: float) -> list[float]:
+        t = Threshold(float(M))
+        sums = np.add.reduceat(np.where(mag > t.level, lengths, 0), starts)
+        return [
+            _with_tail(m, t, None, lambda g=g: g) for m, g in zip(members, (sums / scale).tolist())
+        ]
 
-    return values
+    return at

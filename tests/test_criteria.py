@@ -118,6 +118,28 @@ def _one_ulp_high(kernel_of, first_only=False):
     return build
 
 
+def _one_unit_off(group_fsums):
+    """group_fsums, with every positive integer length read one unit long."""
+    return lambda owner, tv, lengths, cuts, scale, n: group_fsums(
+        owner, tv, lengths + (lengths > 0), cuts, scale, n
+    )
+
+
+def _spy_outside_calls(monkeypatch) -> list:
+    """The radius of every per-member ``Outside`` integral made from now on."""
+    calls = []
+    integrate = quadrature.integrate_transformed
+
+    def spy(f, transform, region=None):
+        if isinstance(region, a.Outside):
+            calls.append(region.radius)
+        return integrate(f, transform, region)
+
+    for module in (criteria, quadrature):
+        monkeypatch.setattr(module, "integrate_transformed", spy)
+    return calls
+
+
 class TestWitnessSearch:
     """One family pass per candidate; the reported worst member is recounted."""
 
@@ -142,22 +164,38 @@ class TestWitnessSearch:
             with pytest.raises(a.GridError, match=f"candidate {out.scan['from']:.6g}: member"):
                 check(fam, 0.5)
 
+    def test_recount_catches_a_grouped_sum_one_unit_off(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_group_fsums", _one_unit_off(quadrature._group_fsums))
+        for fam in (a.u_family(10, 1.0), a.g_family(30)):
+            with pytest.raises(a.GridError, match="recounts"):
+                a.check_tail(fam, 0.5)
+
     def test_tail_searches_make_one_per_member_outside_call_per_candidate(self, monkeypatch):
-        calls = []
-        integrate = quadrature.integrate_transformed
-
-        def spy(f, transform, region=None):
-            if isinstance(region, a.Outside):
-                calls.append(region.radius)
-            return integrate(f, transform, region)
-
-        for module in (criteria, quadrature):
-            monkeypatch.setattr(module, "integrate_transformed", spy)
+        calls = _spy_outside_calls(monkeypatch)
         report = a.full_report(a.u_family(16, 1.0), [0.5])
         tail_searches = [e for e in report.entries if e.condition in ("tail", "lp-tail")]
         assert len(tail_searches) == 2
         # the recount of each candidate's worst member, not one call per member
         assert len(calls) == sum(e.scan["evaluations"] for e in tail_searches)
+
+    def test_a_refused_family_makes_one_call_per_member_and_candidate(self, monkeypatch):
+        # 2-d members: the batch gate refuses the family, so each member
+        # makes the per-member call once per candidate and nothing repeats it
+        i, j = np.indices((16, 16))
+        members = tuple(
+            a.grid_function(((-2, 2), (-2, 2)), (F(1, 4), F(1, 4)), ((i + 2 * j + k) % 5) / 4.0)
+            for k in range(5)
+        )
+        fam = a.FamilySpec("plane", 1.0, members, (1, 2, 3, 4, 5))
+        assert quadrature._outside_kernel(members, a.ClampPower(1.0)) is None
+        calls = _spy_outside_calls(monkeypatch)
+        out = a.check_tail(fam, 0.5)
+        assert (out.verdict, out.witness, out.scan["evaluations"]) == ("pass", 1.94140625, 12)
+        assert len(calls) == 5 * 12
+        worst = max(
+            a.integrate_transformed(m, a.ClampPower(1.0), a.Outside(out.witness)) for m in members
+        )
+        assert out.detail == f"worst member integral {worst:.6g} < 0.5"
 
 
 class TestTranslationCondition:
@@ -242,11 +280,7 @@ class TestTranslationScan:
             a.check_translation(a.g_family(20), 0.5)
 
     def test_recount_catches_a_kernel_one_unit_off(self, monkeypatch):
-        group_rows = quadrature._group_rows
-        monkeypatch.setattr(
-            quadrature, "_group_rows",
-            lambda tvals, lengths, scale: group_rows(tvals, lengths + (lengths > 0), scale),
-        )
+        monkeypatch.setattr(quadrature, "_group_fsums", _one_unit_off(quadrature._group_fsums))
         with pytest.raises(a.GridError, match="recounts"):
             a.check_translation(a.g_family(20), 0.5)
 
@@ -254,16 +288,17 @@ class TestTranslationScan:
         families = (a.g_family(20), a.h_family(10), a.u_family(8, 1.0), a.v_family(6, 2.0))
         want = [a.full_report(fam, [0.5, 0.25]) for fam in families]
         rows = []
-        group_rows = quadrature._group_rows
+        group_fsums = quadrature._group_fsums
 
-        def spy(tvals, lengths, scale):
-            rows.append(len(tvals))
-            return group_rows(tvals, lengths, scale)
+        def spy(owner, tv, lengths, cuts, scale, n):
+            if isinstance(scale, int):  # the translation rows, not the Outside kernel
+                rows.append(n)
+            return group_fsums(owner, tv, lengths, cuts, scale, n)
 
-        monkeypatch.setattr(quadrature, "_group_rows", spy)
+        monkeypatch.setattr(quadrature, "_group_fsums", spy)
         monkeypatch.setattr(quadrature, "_PROFILE_BUDGET", 1)
         assert [a.full_report(fam, [0.5, 0.25]) for fam in families] == want
-        assert max(rows) == 1
+        assert rows and max(rows) == 1
 
     def test_a_shift_past_the_guard_after_the_violation_is_never_reached(self):
         # on the lattice 1/S the shift -10/S puts the right edge 2 at

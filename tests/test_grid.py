@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import asymlp as a
+from asymlp import quadrature
 
 
 class TestConstruction:
@@ -91,6 +92,21 @@ class TestTails:
         # (3-2)*1 + integral_3^inf 9 x**-2 dx = 1 + 3
         got = a.clamped_power_tail_integral(3.0, 1.0, 2.0, 2.0)
         assert got == pytest.approx(4.0, abs=1e-12)
+
+    def test_overflowing_tail_terms_raise_grid_error(self):
+        f = a.grid_function((-2, 2), 1, [0.1, 0.2, 0.3, 0.4], a.TailSpec.power_law(3.0, 2.0, 2))
+        for call in (
+            lambda: a.integrate_transformed(f, a.AbsPower(700.0)),  # 3.0**700
+            lambda: a.lp_norm(f, 700.0),
+            # check_kr_lp needs the family, whose membership check integrates the tail
+            lambda: a.FamilySpec("tail", 700.0, (f,), (1,)),
+            lambda: a.TailSpec.power_law(3.0, 0.01, 2).superlevel_length(1e-300),
+            lambda: a.clamped_power_tail_integral(1e10, 0.01, 2.0, 1.0),
+            lambda: quadrature._abs_power_between(3.0, 2.0, 700.0, 2.0, 3.0),
+            lambda: a.TailSpec.power_law(1.0, 700.0, F(1, 4)).sup(),  # 4.0**700
+        ):
+            with pytest.raises(a.GridError, match="overflows"):
+                call()
 
 
 class TestAlgebra:

@@ -10,7 +10,7 @@ import pytest
 
 import asymlp as a
 import oracles
-from asymlp import quadrature
+from asymlp import criteria, quadrature
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
@@ -650,8 +650,8 @@ def _straddling_function(draw):
 
 @st.composite
 def _kernel_family(draw):
-    """1-4 members: batched ones, and 2-d ones and those on lattices past
-    2**53, which the kernels leave to the per-member call."""
+    """1-4 members: batchable ones, and 2-d ones and those on lattices past
+    2**53, for which the batch gate refuses the family."""
     def member():
         den = draw(st.sampled_from(_PRIMES + (96,)))
         return draw(st.one_of(
@@ -685,6 +685,16 @@ def _outcome(values):
         return type(e), str(e)
 
 
+def _batchable(m) -> bool:
+    """Whether the kernels' batch gate admits m: 1-d, with a lattice scale
+    and a total lattice length below 2**53."""
+    if m.dim != 1:
+        return False
+    (lo, hi), = m.box
+    S = math.lcm(lo.denominator, m.spacing[0].denominator)
+    return S < 2**53 and (hi - lo) * S < 2**53
+
+
 class TestFamilyKernels:
     """Both kernels answer every candidate as the per-member calls do."""
 
@@ -700,6 +710,15 @@ class TestFamilyKernels:
                 for c in candidates:
                     [single(m, c) for m in members]
             return
+        # the gate refuses exactly the families with a member it cannot
+        # batch; their search takes the per-member calls, and the members
+        # it admits still batch
+        assert (kernel is not None) == all(map(_batchable, members))
+        if kernel is None:
+            members = [m for m in members if _batchable(m)]
+            if not members:
+                return
+            kernel = build(members)
         for c in candidates:
             assert _outcome(lambda: kernel(c)) == _outcome(lambda: [single(m, c) for m in members])
 
@@ -726,15 +745,30 @@ class TestFamilyKernels:
         cuts = [abs(v) for v in data.draw(st.lists(st.sampled_from(values), min_size=1, max_size=6))]
         self._check(quadrature._level_kernel, a.superlevel_measure, members, cuts + [-0.5])
 
-    def test_integer_sums_past_2_53_take_the_per_member_call(self):
+    def test_integer_sums_past_2_53_take_the_per_member_call(self, monkeypatch):
         L, S = 3650211806964173, 2**53 + 1
         # a float division of these sums rounds away from the Fraction's
         assert float(3 * L) / 5 != float(F(3 * L, 5))
         assert 3 / float(S) != float(F(3, S))
         wide = a.grid_function((0, 3 * F(L, 5)), F(L, 5), [1.0, 2.0, 3.0])
         fine = a.grid_function((0, F(3, S)), F(1, S), [1.0, 2.0, 3.0])
-        self._check(quadrature._level_kernel, a.superlevel_measure, [wide, fine], [0.5])
-        self._check_outside(a.ClampPower(1.0), [wide, fine], [0.0])
+        for members in ([wide], [fine], [wide, fine]):
+            assert quadrature._level_kernel(members) is None
+            assert quadrature._outside_kernel(members, a.ClampPower(1.0)) is None
+        # the level search evaluates both members per cut, with no recount
+        calls = []
+        measure = criteria.superlevel_measure
+
+        def spy(f, level):
+            calls.append(level)
+            return measure(f, level)
+
+        monkeypatch.setattr(criteria, "superlevel_measure", spy)
+        fam = a.FamilySpec("wide", 1.0, (wide, fine), (1, 2))
+        out = a.check_level(fam, 0.5)
+        assert out.verdict == "pass" and len(calls) == 2 * out.scan["evaluations"]
+        worst = max(measure(m, out.witness) for m in (wide, fine))
+        assert out.detail == f"worst superlevel measure {worst:.6g} < 0.5"
 
     def test_a_lattice_past_the_guard_raises_when_the_kernel_is_built(self):
         h = F(1, 2**61)
