@@ -6,7 +6,11 @@ Runs ``perfbench/run.py --trace 0`` for every workload of
 ``scripts/output_digests.py`` once, in each checkout, and writes OUT as
 JSON: per checkout, every run's end-to-end metrics, answer digest and
 failure count, the median and quartiles of each metric, and the digest
-lines.  With two checkouts the runs alternate, and each seed swaps which
+lines.  Each run also records every operation's fastest wall time over
+its passes, scaled to the reference machine as perfbench scales
+``wall_s`` (from the ``passes`` and ``reference_loop_s`` of its ``info``
+line), and the summary the median of each over the seeds, so a change
+shows which operation moved.  With two checkouts the runs alternate, and each seed swaps which
 checkout goes first (first, second; second, first; ...), so a slow phase
 of a shared machine hits both alike.  OUT then also counts the seeds on
 which the second checkout is better:
@@ -24,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib.util
 import json
 import statistics
 import subprocess
@@ -32,6 +37,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+_spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+PERFBENCH = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(PERFBENCH)
 SEEDS = range(1, 11)
 METRICS = ("wall_s", "cpu_s", "setup_s", "peak_rss_mb")  # all lower is better
 
@@ -46,12 +54,15 @@ def _run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     if proc.returncode or len(lines) < 2 or not lines[-2].startswith("info "):
         return {"seed": seed, "correct": False, "error": proc.stderr.strip()[-2000:]}
     info, result = json.loads(lines[-2][len("info "):]), json.loads(lines[-1])
+    passes = info["passes"]
+    scale = PERFBENCH.REFERENCE_LOOP_S / info["reference_loop_s"]
     return {
         "seed": seed,
         "correct": result["correct"],
         "failed": result["failed"],
         "digest": info["digest"],
         "metrics": {m: result["metrics"][m]["value"] for m in METRICS},
+        "ops": {op: min(p[op][0] for p in passes) * scale for op in passes[0]},
     }
 
 
@@ -62,6 +73,9 @@ def _summary(runs: list[dict]) -> dict:
         if len(values) >= 2:
             q1, median, q3 = statistics.quantiles(values, n=4)
             out[m] = {"median": median, "q1": q1, "q3": q3}
+    ops = [r["ops"] for r in runs if "ops" in r]
+    if ops:
+        out["ops"] = {op: statistics.median(o[op] for o in ops) for op in ops[0]}
     return out
 
 
@@ -120,17 +134,13 @@ def main(argv=None) -> int:
     }
     if len(checkouts) == 2:
         first, second = checkouts
-        record["second_better"] = {
-            w: {
-                m: sum(
-                    a["metrics"][m] > b["metrics"][m]
-                    for a, b in zip(runs[first][w], runs[second][w])
-                    if "metrics" in a and "metrics" in b
-                )
-                for m in METRICS
-            }
-            for w in workloads
-        }
+        record["second_better"] = {}
+        for w in workloads:
+            pairs = [(a, b) for a, b in zip(runs[first][w], runs[second][w]) if "metrics" in a and "metrics" in b]
+            better = {m: sum(a["metrics"][m] > b["metrics"][m] for a, b in pairs) for m in METRICS}
+            if pairs:
+                better["ops"] = {op: sum(a["ops"][op] > b["ops"][op] for a, b in pairs) for op in pairs[0][0]["ops"]}
+            record["second_better"][w] = better
     args.out.write_text(json.dumps(record, indent=2) + "\n")
     return 0
 

@@ -17,8 +17,10 @@ gate refuses, one per-member integrate_transformed or superlevel_measure
 call per member.
 
 Translation is scanned over a declared finite shift lattice, never over
-all real shifts, in doubling blocks of magnitudes, each member through the
-batched ``translation_profile``.
+all real shifts, in doubling blocks of magnitudes; each block is one call
+of ``_family_profile`` for the whole family, one vectorized pass per
+group of members of similar run counts.  The tail and level kernels of a
+report share one build of the family's runs (``FamilySpec``).
 
 One helper, ``_worst``, picks the deciding worst member of every search
 candidate and scanned shift, the lift's raised cut included, and
@@ -42,13 +44,13 @@ from .quadrature import (
     ClampPower,
     Outside,
     Transform,
+    _family_profile,
     _level_kernel,
     _outside_kernel,
     integrate_transformed,
     superlevel_measure,
     translation_defect,
     translation_defect_bounds,
-    translation_profile,
 )
 
 __all__ = [
@@ -325,7 +327,8 @@ def _tail_condition(
         return integrate_transformed(m, transform, Outside(R))
 
     return _search_condition(
-        family, condition, eps, _outside_kernel(family.members, transform), single,
+        family, condition, eps,
+        _outside_kernel(family.members, transform, family._kernel_runs), single,
         threshold, first, bound,
         ("radius", "R", "value", "worst member integral"),
     )
@@ -341,7 +344,8 @@ def check_level(family: FamilySpec, eps: float) -> ConditionOutcome:
     if eps <= 0:
         raise GridError("eps must be positive")
     return _search_condition(
-        family, "level", eps, _level_kernel(family.members), superlevel_measure,
+        family, "level", eps,
+        _level_kernel(family.members, family._kernel_runs), superlevel_measure,
         eps, 1.0, family.sup_abs() + 1.0,
         ("cut", "M", "measure", "worst superlevel measure"),
     )
@@ -394,7 +398,7 @@ def _translation_condition(
     while todo and violation is None:
         block = todo.pop()
         try:
-            rows = [translation_profile(m, block, transform) for m in family.members]
+            rows = _family_profile(family.members, block, transform)
         except GridError:
             if len(block) == 1:
                 raise

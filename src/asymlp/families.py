@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable
 
@@ -27,6 +28,7 @@ from .grid import (
     sample,
 )
 from .norms import NormParams
+from .quadrature import _family_runs
 
 __all__ = [
     "FamilySpec",
@@ -80,6 +82,12 @@ class FamilySpec:
                 raise NotInSpaceError(
                     f"member {i} of family {self.name!r} has a divergent clamp integral"
                 )
+
+    @cached_property
+    def _kernel_runs(self):
+        """``quadrature._family_runs`` of the members, built once per family:
+        every witness search of a report hands it to its kernel."""
+        return _family_runs(self.members)
 
     @property
     def params(self) -> NormParams:

@@ -106,7 +106,13 @@ def power_tail_integral(coef: float, beta: float, start: float, p: float) -> flo
         return 0.0
     if beta * p <= 1.0:
         return math.inf
-    return _pow(coef, p) * _pow(start, 1.0 - beta * p) / (beta * p - 1.0)
+    try:
+        head = coef**p * start ** (1.0 - beta * p)
+    except OverflowError:
+        # a power can overflow on its own while the integral is small: take
+        # the tail's value at start to the p-th power instead
+        head = _pow(coef * _pow(start, -beta), p) * start
+    return head / (beta * p - 1.0)
 
 
 def clamped_power_tail_integral(coef: float, beta: float, start: float, p: float) -> float:

@@ -183,7 +183,7 @@ class _FirstFit:
         try:
             total = integrate_transformed(m, self.transform)
             box = (lo, hi, float(lo), float(hi))
-        except (GridError, OverflowError):
+        except GridError:
             return None  # the full call decides, as it would without bounds
         if not math.isfinite(total):
             return None
@@ -328,7 +328,7 @@ def _find_level_cut(family: FamilySpec, budget: float) -> tuple[float, float, in
     only under a cut that dominates it, and a higher cut only shrinks the
     superlevel sets.
     """
-    level = _level_kernel(family.members)
+    level = _level_kernel(family.members, family._kernel_runs)
     M, worst, last_fail, evals = _search_up(
         family, level, superlevel_measure, budget, 2.0, max(family.sup_abs() + 1.0, 2.0),
         floor=1.0,

@@ -17,19 +17,25 @@ dimensions: it clips cells against the radius in floats, groups the cells
 with no overlap exactly and adds the partly-inside remainders with one
 ``math.fsum``.
 
-``translation_profile`` gives the defects of one member at a block of
-shifts in one vectorized pass, with its own merge; it returns the
-per-shift functions' floats, and those functions, which never call it,
-are its reference.  The witness searches' kernels, ``_outside_kernel``
-and ``_level_kernel``, work the same way across a family: built once
-from every member's runs, each answers one radius or cut for all members
-in a few numpy operations, with the floats of ``integrate_transformed``
-and ``superlevel_measure``, which stay their reference.  One batched
-grouped sum, ``_group_fsums``, serves the profile's rows and the
-``Outside`` kernel; ``_group_exact`` stays the per-call one.  The
-kernels run only when ``_family_runs``, their batch gate, admits every
-member (1-d, lattice scale and total length below 2**53); for any other
-family the builders return None and the per-member calls answer.
+``_family_profile`` gives the defects of every member of a family at a
+block of shifts, with its own merge: one row per (member, shift), each on
+the lattice of its own per-shift sweep, in one vectorized pass per group
+of members whose run-edge counts round up to the same power of two
+(padding at most doubles a row).  ``translation_profile`` is its
+one-member call.  It returns the per-shift functions' floats, and those
+functions, which never call it, are its reference.  The witness
+searches' kernels, ``_outside_kernel`` and ``_level_kernel``, work the
+same way across a family: built once from every member's runs, each
+answers one radius or cut for all members in a few numpy operations,
+with the floats of ``integrate_transformed`` and ``superlevel_measure``,
+which stay their reference.  One batched grouped sum, ``_group_fsums``,
+serves the profile's rows and the ``Outside`` kernel; ``_group_exact``
+stays the per-call one, and every grouped ``math.fsum`` goes through
+``_fsum``, which raises GridError where finite terms add past the float
+range.  The kernels run only when ``_family_runs``, their batch gate,
+admits every member (1-d, lattice scale and total length below 2**53);
+for any other family the builders return None and the per-member calls
+answer.  A ``FamilySpec`` builds those runs once for all its searches.
 
 That conversion is one IEEE division when the lattice scale and every
 grouped integer sum are below 2**53: both are then exact doubles and the
@@ -79,8 +85,8 @@ __all__ = [
 
 _INT_GUARD = 2**62
 _EXACT_INT = 2**53  # integers below this are exact doubles
-# elements of one block of translation_profile's 2-d arrays (shifts times
-# merged edges); larger blocks are split, so memory stays bounded
+# elements of one pass of _profile_grid's 2-d arrays (rows times merged
+# edges, padding included); larger passes are split, so memory stays bounded
 _PROFILE_BUDGET = 2**16
 
 
@@ -219,7 +225,7 @@ def _group_exact(tvals: np.ndarray, counts: np.ndarray, scale: int, num: int = 1
     tv = tv[order]
     ln = ln[order]
     cuts = _block_starts(tv)
-    return math.fsum(_group_terms(tv[cuts], np.add.reduceat(ln, cuts), num, scale))
+    return _fsum(_group_terms(tv[cuts], np.add.reduceat(ln, cuts), num, scale))
 
 
 def _group_terms(values: np.ndarray, counts: np.ndarray, num: int, den: int) -> list[float]:
@@ -245,34 +251,43 @@ def _block_starts(*keys: np.ndarray) -> np.ndarray:
     return np.flatnonzero(new)
 
 
+def _fsum(terms) -> float:
+    """``math.fsum`` of the terms; GridError where finite terms add past the float range."""
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        raise GridError("a grouped sum overflows a float") from None
+
+
 def _fsum_by(owners: np.ndarray, terms: list[float], n: int) -> list[float]:
-    """``math.fsum`` of the terms of each owner 0..n-1; owners ascend."""
+    """``_fsum`` of the terms of each owner 0..n-1; owners ascend."""
     keys = np.arange(n)
     lo = np.searchsorted(owners, keys, side="left").tolist()
     hi = np.searchsorted(owners, keys, side="right").tolist()
-    return [math.fsum(terms[i:j]) for i, j in zip(lo, hi)]
+    return [_fsum(terms[i:j]) for i, j in zip(lo, hi)]
 
 
 def _group_fsums(owner, tv, lengths, cuts, scale, n: int) -> list[float]:
     """``_group_exact`` of the entries of each owner 0..n-1, all at once.
 
-    Entries are sorted by (owner, T), and cuts, ``_block_starts(owner,
-    tv)``, starts each group.  A group adds T times its integer length
-    over scale, rounded once as in ``_group_terms``; a group with no
-    length or with T = 0 adds no term, not even 0 * inf.  scale is the
-    lattice of every entry, or one float per entry below 2**53 (the
-    batch gate of ``_family_runs``), where the quotient is the same
-    single division.  ``math.fsum`` rounds correctly in any order, so
-    each owner's float is the per-owner ``_group_exact``, bit for bit.
+    Entries are sorted by (owner, T), and cuts starts each group, so that
+    group i holds lengths[cuts[i]:cuts[i + 1]]; owner[i] and tv[i] are its
+    owner and T.  A group adds T times its integer length over scale,
+    rounded once as in ``_group_terms``; a group with no length or with
+    T = 0 adds no term, not even 0 * inf.  scale is the lattice of every
+    entry, or one float per group below 2**53 (the batch gate of
+    ``_family_runs``), where the quotient is the same single division.
+    ``math.fsum`` rounds correctly in any order, so each owner's float is
+    the per-owner ``_group_exact``, bit for bit.
     """
     sums = np.add.reduceat(lengths, cuts)
-    kept = (sums > 0) & (tv[cuts] != 0.0)
-    cuts, sums = cuts[kept], sums[kept]
+    kept = (sums > 0) & (tv != 0.0)
+    sums, tv = sums[kept], tv[kept]
     if isinstance(scale, np.ndarray):
-        terms = (sums / scale[cuts] * tv[cuts]).tolist()
+        terms = (sums / scale[kept] * tv).tolist()
     else:
-        terms = _group_terms(tv[cuts], sums, 1, scale) if len(cuts) else []
-    return _fsum_by(owner[cuts], terms, n)
+        terms = _group_terms(tv, sums, 1, scale) if len(sums) else []
+    return _fsum_by(owner[kept], terms, n)
 
 
 def _overlap(fl: np.ndarray, fr: np.ndarray, R: float) -> np.ndarray:
@@ -308,7 +323,7 @@ def _outside(
     """
     out, partial = _outside_masks(inside, full)
     exact = _group_exact(np.where(out, tvals, 0.0), counts, den, num)
-    return exact + math.fsum((full - inside)[partial] * tvals[partial])
+    return exact + _fsum((full - inside)[partial] * tvals[partial])
 
 
 def _reduce_region(
@@ -577,83 +592,150 @@ def translation_profile(f: GridFunction, shifts, transform: Transform) -> list[f
     Entry i equals ``translation_defect(f, shifts[i], transform)`` for a
     zero tail and ``translation_defect_bounds(f, shifts[i], transform)[1]``
     for a live one, bit for bit.  Those two stay on ``_sweep`` alone: they
-    are the independent reference this kernel is checked against.
+    are the independent reference this kernel is checked against.  This is
+    the one-member call of ``_family_profile``.
     """
-    if f.dim != 1:
+    return _family_profile([f], shifts, transform)[0]
+
+
+def _family_profile(members, shifts, transform: Transform) -> list[list[float]]:
+    """``translation_profile`` of every member at the same shifts, batched.
+
+    Row (i, j) is member i at shifts[j].  Rows are grouped by their
+    member's run-edge count rounded up to a power of two, so padding at
+    most doubles the elements of a pass; each group runs ``_profile_grid``
+    once per ``_PROFILE_BUDGET`` elements.  A live tail's onset-strip and
+    tail-tail terms read only |y|, so each member computes them once per
+    magnitude.
+    """
+    if any(m.dim != 1 for m in members):
         raise GridError("translation defects are one-dimensional here")
     shifts = [as_fraction(y) for y in shifts]
-    live = not f.tail.is_zero
-    (a, L), = f.box
     # neither window, None or (-inf, min(L, L - y)), has a lower bound, so
-    # the degenerate value is the same at every shift
-    degenerate = _degenerate_threshold(transform, Window(None, L) if live else None)
+    # the degenerate value is the same at every member and shift
+    degenerate = _degenerate_threshold(transform, None)
     if degenerate is not None:
-        grid = [degenerate] * len(shifts)
+        grid = [[degenerate] * len(shifts) for _ in members]
     else:
-        # the sweep's lattice for each shift; shifts sharing it go together
-        base = _scale_for(a, f.spacing[0])
-        by_scale: dict[int, list[int]] = {}
-        for i, y in enumerate(shifts):
-            by_scale.setdefault(math.lcm(base, y.denominator), []).append(i)
-        grid = [0.0] * len(shifts)
-        for scale, rows in by_scale.items():
-            ints = [shifts[i].numerator * (scale // shifts[i].denominator) for i in rows]
-            for i, v in zip(rows, _profile_grid(f, ints, transform, scale, live)):
-                grid[i] = v
-    if not live:
-        return grid
+        grid = _profile_rows(members, shifts, transform)
     out = []
-    for exact, y in zip(grid, shifts):
-        strip, tail_term = _onset_and_tail(f, y, transform)
-        out.append(exact + strip + tail_term)
+    for m, row in zip(members, grid):
+        if not m.tail.is_zero:
+            bound: dict[Fraction, tuple[float, float]] = {}
+            for j, y in enumerate(shifts):
+                mag = abs(y)
+                if mag not in bound:
+                    bound[mag] = _onset_and_tail(m, mag, transform)
+                strip, tail_term = bound[mag]
+                row[j] = row[j] + strip + tail_term
+        out.append(row)
     return out
+
+
+def _profile_rows(members, shifts: list[Fraction], transform: Transform) -> list[list[float]]:
+    """Grid parts of the defect of every member at every shift.
+
+    Each row keeps the lattice of its own sweep, 1/S with S the lcm of
+    the member's box start, spacing and shift denominators, and is
+    checked against the sweep's guards in Python integers before any
+    int64 arithmetic.  Rows whose S and merged lattice span are below
+    2**53 share a pass with one float scale per row; any other row goes
+    with the rows of its own S, through the integer scale of
+    ``_group_fsums``.  Either way each group is rounded once, as there.
+    """
+    grid = [[0.0] * len(shifts) for _ in members]
+    # pass key -> (its members, its rows); a row names its member by its
+    # place in the pass
+    passes: dict[tuple, tuple[list[int], list[tuple]]] = {}
+    for i, m in enumerate(members):
+        (a, L), = m.box
+        h = m.spacing[0]
+        base = _scale_for(a, h)
+        width = (len(m.runs[0]) - 1).bit_length()
+        live = not m.tail.is_zero
+        lattices: dict[int, tuple[int, int, int, int]] = {}
+        for j, y in enumerate(shifts):
+            d = y.denominator
+            if d not in lattices:
+                S = math.lcm(base, d)
+                lattices[d] = (S, *(_lattice(x, S) for x in (a, h, L)))
+            S, e0, step, end = lattices[d]
+            s = y.numerator * (S // d)
+            # both ends of the box, shifted; y * S itself may pass 2**62,
+            # it still fits an int64
+            _check_guard(e0 - s)
+            _check_guard(end - s)
+            # the row's group sums are at most its merged span
+            float_scale = S < _EXACT_INT and end - e0 + abs(s) < _EXACT_INT
+            used, rows = passes.setdefault((width, None if float_scale else S), ([], []))
+            if not used or used[-1] != i:
+                used.append(i)
+            clip = min(end, end - s) if live else _INT_GUARD
+            rows.append((i, j, len(used) - 1, S, e0, step, s, clip))
+    for (_, S), (used, rows) in passes.items():
+        k = max(len(members[i].runs[0]) for i in used)
+        # each member's run bounds padded by repeating the last one, so the
+        # padding pieces have zero length; its values with a 0 on each side
+        bounds = np.empty((len(used), k), dtype=np.int64)
+        values = np.zeros((len(used), k + 1))
+        for r, i in enumerate(used):
+            b, v = members[i].runs
+            bounds[r, :len(b)] = b
+            bounds[r, len(b):] = b[-1]
+            values[r, 1:len(b)] = v
+        per = max(1, _PROFILE_BUDGET // (2 * k))
+        for lo in range(0, len(rows), per):
+            i, j, r, scales, e0, step, s, clip = zip(*rows[lo:lo + per])
+            r = list(r)
+            e0, step, s, clip = (np.array(c, dtype=np.int64) for c in (e0, step, s, clip))
+            edges = e0[:, None] + step[:, None] * bounds[r]
+            scale = np.array(scales, dtype=np.float64) if S is None else S
+            for i_, j_, v in zip(i, j, _profile_grid(edges, values[r], s, clip, scale, transform)):
+                grid[i_][j_] = v
+    return grid
 
 
 def _profile_grid(
-    f: GridFunction, shifts: list[int], transform: Transform, scale: int, live: bool
+    edges: np.ndarray,
+    values: np.ndarray,
+    shifts: np.ndarray,
+    clip: np.ndarray,
+    scale,
+    transform: Transform,
 ) -> list[float]:
-    """Grid parts of the defects at integer shifts s on the lattice 1/scale.
+    """Grid parts of the defects of rows of (member, integer shift s).
 
-    Row r sorts f's run edges E together with E - s_r; no edge is
-    deduplicated.  Before a piece of positive length every copy of its
-    left edge is already placed, so of the k + 1 merged edges up to piece
-    k, E.searchsorted(left, side="right") are edges of f and the rest are
+    Row r holds its member's run edges E on its lattice, padded by
+    repeating the last edge, the run values with a 0 on each side, its
+    shift s and its clip: min(L, L - y) for a live tail, else past every
+    edge.  It sorts E together with E - s, no edge deduplicated, each
+    tagged in its lowest bit (1 for E).  Before a piece of positive
+    length every edge up to its left end is already placed, so the tags
+    up to piece k count the edges of f at or left of it and the rest are
     shifted ones: the lookups of f(x) and f(x + y).  Zero-length pieces
-    drop out as in ``_group_exact``; a live tail clips row r at
-    min(L, L - y_r).
+    drop out as in ``_group_exact``.  scale is one int for every row or,
+    below 2**53, one float per row (see ``_group_fsums``).
     """
-    (a, L), = f.box
-    # the sweep's guards, in Python integers before any int64 arithmetic:
-    # both ends of the box, unshifted and shifted
-    e0, step, end = (_lattice(x, scale) for x in (a, f.spacing[0], L))
-    for s in shifts:
-        _check_guard(e0 - s)
-        _check_guard(end - s)
-    bounds, run_values = f.runs
-    edges = e0 + step * bounds
-    n = len(edges)
-    padded = np.concatenate(([0.0], run_values, [0.0]))
-    # y * scale itself may pass 2**62; it still fits an int64
-    s_all = np.array(shifts, dtype=np.int64)
-    per = max(1, _PROFILE_BUDGET // (2 * n))
-    out: list[float] = []
-    for lo in range(0, len(s_all), per):
-        s = s_all[lo:lo + per, None]
-        shifted = edges - s
-        merged = np.sort(
-            np.concatenate((np.broadcast_to(edges, shifted.shape), shifted), axis=1), axis=1
-        )
-        left, right = merged[:, :-1], merged[:, 1:]
-        in_f = edges.searchsorted(left, side="right")
-        if live:
-            right = np.maximum(np.minimum(right, np.minimum(end, end - s)), left)
-        tvals = _apply(transform, padded[np.arange(1, 2 * n) - in_f] - padded[in_f])
-        order = tvals.argsort(axis=1)
-        tv = np.take_along_axis(tvals, order, axis=1).ravel()
-        lengths = np.take_along_axis(right - left, order, axis=1).ravel()
-        row = np.arange(tv.size) // (2 * n - 1)
-        out += _group_fsums(row, tv, lengths, _block_starts(row, tv), scale, len(s))
-    return out
+    # edges lie strictly within 2**62 of 0, so a doubled one fits an int64
+    keys = np.concatenate((edges << 1 | 1, (edges - shifts[:, None]) << 1), axis=1)
+    keys.sort(axis=1)
+    in_f = np.cumsum(keys[:, :-1] & 1, axis=1)
+    rows, pieces = in_f.shape
+    # clipping every edge keeps the rows sorted and gives the pieces past
+    # the clip zero length
+    merged = np.minimum(keys >> 1, clip[:, None])
+    lengths = (merged[:, 1:] - merged[:, :-1]).ravel()
+    # flat positions of each row's values and pieces
+    at = np.arange(0, values.size, values.shape[1])[:, None]
+    flat = values.ravel()
+    tvals = _apply(transform, flat[at + (np.arange(1, pieces + 1) - in_f)] - flat[at + in_f])
+    order = (tvals.argsort(axis=1) + np.arange(0, rows * pieces, pieces)[:, None]).ravel()
+    tv, lengths = tvals.ravel()[order], lengths[order]
+    cuts = _block_starts(np.repeat(np.arange(rows), pieces), tv)
+    row = cuts // pieces
+    if isinstance(scale, np.ndarray):
+        scale = scale[row]
+    return _group_fsums(row, tv[cuts], lengths, cuts, scale, rows)
 
 
 def superlevel_measure(f: GridFunction, level: float) -> float:
@@ -695,22 +777,24 @@ def _family_runs(members):
             return None
         n = len(edges) - 1
         parts.append((np.full(n, i), edges[:-1], np.diff(edges), m.runs[1], np.full(n, float(scale))))
-    return tuple(map(np.concatenate, zip(*parts)))
+    runs = tuple(map(np.concatenate, zip(*parts)))
+    for x in runs:  # a family keeps them for every search (FamilySpec)
+        x.setflags(write=False)
+    return runs
 
 
-def _outside_kernel(members, transform: Transform):
+def _outside_kernel(members, transform: Transform, runs):
     """R -> every member's ``integrate_transformed(m, transform, Outside(R))``.
 
-    None when ``_family_runs`` refuses the family.  Built once, with one
-    group per member and transformed value; a call answers one radius for
-    the whole family.  Runs are clipped and split by the ``_overlap`` and
-    ``_outside_masks`` of the per-member reduction; the runs with no
-    overlap go through ``_group_fsums``, the partly-inside runs add the
-    float terms of ``_outside``, and each member's two sums are
-    ``math.fsum``-ed as there: every value is the per-member float, bit
-    for bit.
+    runs is ``_family_runs(members)``; None when it refuses the family.
+    Built once, with one group per member and transformed value; a call
+    answers one radius for the whole family.  Runs are clipped and split
+    by the ``_overlap`` and ``_outside_masks`` of the per-member
+    reduction; the runs with no overlap go through ``_group_fsums``, the
+    partly-inside runs add the float terms of ``_outside``, and each
+    member's two sums are ``math.fsum``-ed as there: every value is the
+    per-member float, bit for bit.
     """
-    runs = _family_runs(members)
     if runs is None:
         return None
     pos, left, lengths, values, scale = runs
@@ -721,12 +805,13 @@ def _outside_kernel(members, transform: Transform):
     fr = (left + lengths) / scale
     full = lengths / scale
     cuts = _block_starts(pos, tv)
+    owner, group_tv, group_scale = pos[cuts], tv[cuts], scale[cuts]
     n = len(members)
 
     def at(R: float) -> list[float]:
         inside = _overlap(fl, fr, R)
         out, partial = _outside_masks(inside, full)
-        exact = _group_fsums(pos, tv, np.where(out, lengths, 0), cuts, scale, n)
+        exact = _group_fsums(owner, group_tv, np.where(out, lengths, 0), cuts, group_scale, n)
         partial = np.flatnonzero(partial)
         rest = _fsum_by(pos[partial], ((full - inside)[partial] * tv[partial]).tolist(), n)
         region = Outside(R)
@@ -738,14 +823,13 @@ def _outside_kernel(members, transform: Transform):
     return at
 
 
-def _level_kernel(members):
+def _level_kernel(members, runs):
     """M -> every member's ``superlevel_measure(m, M)``, one pass per cut.
 
-    None when ``_family_runs`` refuses the family.  A member's grid part
-    is the integer length of its runs with |v| > M, strictly, divided
-    once by its scale: the sweep's single group.
+    runs is ``_family_runs(members)``; None when it refuses the family.  A
+    member's grid part is the integer length of its runs with |v| > M,
+    strictly, divided once by its scale: the sweep's single group.
     """
-    runs = _family_runs(members)
     if runs is None:
         return None
     pos, _, lengths, values, scale = runs

@@ -32,11 +32,19 @@ class TestExitCodes:
         assert main(["norm", "/nonexistent/family.json:"]) == 1
 
     def test_overflowing_tail_is_one(self, tmp_path, capsys):
-        f = a.grid_function((-2, 2), 1, [0.1, 0.2, 0.3, 0.4], a.TailSpec.power_law(3.0, 2.0, 2))
+        # the lp tail integral is 3**700 / 1399, past the float range
+        f = a.grid_function((-1, 1), 1, [0.1, 0.2], a.TailSpec.power_law(3.0, 2.0, 1))
         path = tmp_path / "fam.json"
         a.save_json(a.family_to_dict(a.FamilySpec("tail", 1.0, (f,), (1,))), path)
         assert main(["norm", str(path), "--p", "700"]) == 1
         assert "overflows" in capsys.readouterr().err
+
+    def test_overflowing_grouped_sum_is_one(self, tmp_path, capsys):
+        f = a.grid_function((0, 2), 1, [1e308, 1.5e308])
+        path = tmp_path / "fam.json"
+        a.save_json(a.family_to_dict(a.FamilySpec("big", 1.0, (f,), (1,))), path)
+        assert main(["norm", str(path)]) == 1
+        assert "grouped sum overflows" in capsys.readouterr().err
 
     def test_lift_level_failure_is_two(self, capsys):
         rc = main(["net", "f:k=1..12,p=1", "--method", "truncation-lift"])

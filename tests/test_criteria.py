@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import asymlp as a
-from asymlp import criteria, quadrature
+from asymlp import criteria, families, quadrature
 
 
 class TestShiftLattice:
@@ -178,6 +178,20 @@ class TestWitnessSearch:
         # the recount of each candidate's worst member, not one call per member
         assert len(calls) == sum(e.scan["evaluations"] for e in tail_searches)
 
+    def test_a_report_builds_the_family_runs_once(self, monkeypatch):
+        want = a.full_report(a.u_family(16, 1.0), [0.5, 0.25])
+        calls = []
+        family_runs = families._family_runs
+
+        def spy(members):
+            calls.append(len(members))
+            return family_runs(members)
+
+        monkeypatch.setattr(families, "_family_runs", spy)
+        # tail, lp-tail and level at two eps: six kernels from one build
+        assert a.full_report(a.u_family(16, 1.0), [0.5, 0.25]) == want
+        assert calls == [16]
+
     def test_a_refused_family_makes_one_call_per_member_and_candidate(self, monkeypatch):
         # 2-d members: the batch gate refuses the family, so each member
         # makes the per-member call once per candidate and nothing repeats it
@@ -187,7 +201,7 @@ class TestWitnessSearch:
             for k in range(5)
         )
         fam = a.FamilySpec("plane", 1.0, members, (1, 2, 3, 4, 5))
-        assert quadrature._outside_kernel(members, a.ClampPower(1.0)) is None
+        assert quadrature._outside_kernel(members, a.ClampPower(1.0), fam._kernel_runs) is None
         calls = _spy_outside_calls(monkeypatch)
         out = a.check_tail(fam, 0.5)
         assert (out.verdict, out.witness, out.scan["evaluations"]) == ("pass", 1.94140625, 12)
@@ -249,22 +263,22 @@ class TestTranslationScan:
 
     def test_first_shift_is_a_block_of_its_own(self, monkeypatch):
         rows = []
-        profile = criteria.translation_profile
+        profile = criteria._family_profile
 
-        def spy(f, shifts, transform):
+        def spy(members, shifts, transform):
             rows.append(len(shifts))
-            return profile(f, shifts, transform)
+            return profile(members, shifts, transform)
 
-        monkeypatch.setattr(criteria, "translation_profile", spy)
+        monkeypatch.setattr(criteria, "_family_profile", spy)
         fam = a.h_family(10)  # every member violates at +1/2048
         assert a.check_translation(fam, 0.5).verdict == "fail"
-        assert rows == [1] * len(fam.members)
+        assert rows == [1]  # one kernel call for the whole family
 
         rows.clear()
         fam = a.g_family(5)
         out = a.check_translation(fam, 0.5, a.ShiftLattice(F(1, 256), 16))
         assert out.scan["evaluations"] == 32  # every shift passes
-        assert rows == [n for n in (1, 3, 4, 8, 16) for _ in fam.members]
+        assert rows == [1, 3, 4, 8, 16]
 
     def test_recount_catches_a_merge_one_unit_off(self, monkeypatch):
         merge = quadrature._merge
@@ -288,14 +302,13 @@ class TestTranslationScan:
         families = (a.g_family(20), a.h_family(10), a.u_family(8, 1.0), a.v_family(6, 2.0))
         want = [a.full_report(fam, [0.5, 0.25]) for fam in families]
         rows = []
-        group_fsums = quadrature._group_fsums
+        profile_grid = quadrature._profile_grid
 
-        def spy(owner, tv, lengths, cuts, scale, n):
-            if isinstance(scale, int):  # the translation rows, not the Outside kernel
-                rows.append(n)
-            return group_fsums(owner, tv, lengths, cuts, scale, n)
+        def spy(edges, values, shifts, clip, scale, transform):
+            rows.append(len(shifts))
+            return profile_grid(edges, values, shifts, clip, scale, transform)
 
-        monkeypatch.setattr(quadrature, "_group_fsums", spy)
+        monkeypatch.setattr(quadrature, "_profile_grid", spy)
         monkeypatch.setattr(quadrature, "_PROFILE_BUDGET", 1)
         assert [a.full_report(fam, [0.5, 0.25]) for fam in families] == want
         assert rows and max(rows) == 1

@@ -1,4 +1,5 @@
 """Grid containers: construction, validation, algebra, measurable sets."""
+import math
 from fractions import Fraction as F
 
 import numpy as np
@@ -94,12 +95,12 @@ class TestTails:
         assert got == pytest.approx(4.0, abs=1e-12)
 
     def test_overflowing_tail_terms_raise_grid_error(self):
-        f = a.grid_function((-2, 2), 1, [0.1, 0.2, 0.3, 0.4], a.TailSpec.power_law(3.0, 2.0, 2))
+        # the tail is 3 at its onset 1: its lp integral 3**700 / 1399 overflows
+        f = a.grid_function((-1, 1), 1, [0.1, 0.2], a.TailSpec.power_law(3.0, 2.0, 1))
         for call in (
-            lambda: a.integrate_transformed(f, a.AbsPower(700.0)),  # 3.0**700
+            lambda: a.integrate_transformed(f, a.AbsPower(700.0)),
             lambda: a.lp_norm(f, 700.0),
-            # check_kr_lp needs the family, whose membership check integrates the tail
-            lambda: a.FamilySpec("tail", 700.0, (f,), (1,)),
+            lambda: a.check_kr_lp(a.FamilySpec("tail", 700.0, (f,), (1,)), 0.5),
             lambda: a.TailSpec.power_law(3.0, 0.01, 2).superlevel_length(1e-300),
             lambda: a.clamped_power_tail_integral(1e10, 0.01, 2.0, 1.0),
             lambda: quadrature._abs_power_between(3.0, 2.0, 700.0, 2.0, 3.0),
@@ -107,6 +108,32 @@ class TestTails:
         ):
             with pytest.raises(a.GridError, match="overflows"):
                 call()
+
+
+    def test_tail_integral_with_overflowing_powers_is_finite(self):
+        # 3.0**700 overflows, yet the integral of (3 x**-2)**700 from 2 on
+        # is 3**700 * 2**-1399 / 1399, about 5e-91
+        exact = F(3) ** 700 / F(2) ** 1399 / 1399
+        got = a.power_tail_integral(3.0, 2.0, 2.0, 700.0)
+        assert abs(F(got) - exact) <= exact * F(4, 2**53)
+        f = a.grid_function((-2, 2), 1, [0.1, 0.2, 0.3, 0.4], a.TailSpec.power_law(3.0, 2.0, 2))
+        assert a.integrate_transformed(f, a.AbsPower(700.0), a.Outside(2.0)) == got
+        assert a.alpha_norm(f, 700.0) > 0.0
+        assert a.FamilySpec("tail", 700.0, (f,), (1,)).p == 700.0
+        # powers that do not overflow keep the two-power formula
+        assert a.power_tail_integral(3.0, 2.0, 2.0, 2.0) == 3.0**2 * 2.0**-3.0 / 3.0
+
+    def test_grouped_sum_overflow_raises_grid_error(self):
+        f = a.grid_function((0, 2), 1, [1e308, 1.5e308])
+        for call in (
+            lambda: a.integrate_transformed(f, a.AbsPower(1.0)),
+            lambda: a.lp_norm(f, 1.0),
+            lambda: quadrature._fsum([1e308, 1.5e308]),
+        ):
+            with pytest.raises(a.GridError, match="grouped sum overflows"):
+                call()
+        assert quadrature._fsum([1e308, -1e308, 1.0]) == 1.0
+        assert quadrature._fsum([math.inf, 1.0]) == math.inf
 
 
 class TestAlgebra:

@@ -161,8 +161,8 @@ class TestTruncationLift:
         fam = a.FamilySpec(name="tail", p=1.0, members=(f,), indices=(1,))
         level_kernel = nets._level_kernel
 
-        def off_at_the_sup(members):
-            kernel = level_kernel(members)
+        def off_at_the_sup(members, runs):
+            kernel = level_kernel(members, runs)
             return lambda M: [math.nextafter(v, math.inf) if M == 2.0 else v for v in kernel(M)]
 
         monkeypatch.setattr(nets, "_level_kernel", off_at_the_sup)

@@ -361,6 +361,116 @@ class TestShiftProfile:
                 quadrature.translation_profile(f, shifts, a.ClampPower(1.0))
 
 
+@st.composite
+def _many_runs(draw, den):
+    """Zero-tail function of 1 to 200 cells drawn from a few values, so
+    its run count falls anywhere from 1 to the cell count."""
+    h = F(draw(st.integers(1, 3)), den)
+    n = draw(st.integers(1, 200))
+    start = F(draw(st.integers(-4 * den, 4 * den)), den)
+    values = draw(st.lists(st.sampled_from((0.0, 0.5, -1.25, 3.0)), min_size=n, max_size=n))
+    return a.grid_function((start, start + n * h), h, values)
+
+
+@st.composite
+def _profile_family(draw):
+    """1-5 members on coprime lattices, with live and zero tails, run
+    counts from 1 to about 200, and lattice scales and spans on both
+    sides of 2**53."""
+    def member():
+        den = draw(st.sampled_from(_PRIMES))
+        return draw(st.one_of(
+            _lattice_function(den), _tailed_function(den), _many_runs(den),
+            _scaled_function(), _wide_function(),
+        ))
+
+    return [member() for _ in range(draw(st.integers(1, 5)))]
+
+
+@st.composite
+def _profile_shifts(draw):
+    """Signed lattice shifts of one step, or off-lattice ones, whose
+    denominators up to 2**56 put a row's lattice past 2**53."""
+    if draw(st.booleans()):
+        step = F(1, draw(st.integers(1, 64)))
+        count = draw(st.integers(1, 8))
+        return [y for j in range(1, count + 1) for y in (j * step, -j * step)]
+    return draw(st.lists(_off_lattice(), min_size=1, max_size=6))
+
+
+class TestFamilyProfile:
+    """One pass per shift block for the whole family, bit for bit."""
+
+    @given(_profile_family(), _profile_shifts(), _PROFILE_TRANSFORMS)
+    def test_family_pass_matches_the_per_member_calls(self, members, shifts, t):
+        try:
+            want = [[_per_shift(m, y, t) for y in shifts] for m in members]
+        except a.GridError as e:
+            with pytest.raises(a.GridError, match=re.escape(str(e))):
+                quadrature._family_profile(members, shifts, t)
+            return
+        got = quadrature._family_profile(members, shifts, t)
+        assert [_bits(row) for row in got] == [_bits(row) for row in want]
+
+    def test_rows_past_2_53_take_the_integer_scale(self, monkeypatch):
+        # TestFamilyKernels' geometry: a float division of these sums, or by
+        # this scale, rounds away from the Fraction's
+        L, S = 3650211806964173, 2**53 + 1
+        wide = a.grid_function((0, 3 * F(L, 5)), F(L, 5), [1.0, 2.0, 3.0])
+        fine = a.grid_function((0, F(3, S)), F(1, S), [1.0, 2.0, 3.0])
+        small = a.grid_function((0, 3), 1, [1.0, 2.0, 3.0])
+        scales = []
+        profile_grid = quadrature._profile_grid
+
+        def spy(edges, values, shifts, clip, scale, transform):
+            scales.append(scale if isinstance(scale, int) else scale.tolist())
+            return profile_grid(edges, values, shifts, clip, scale, transform)
+
+        monkeypatch.setattr(quadrature, "_profile_grid", spy)
+        t = a.AbsPower(1.0)
+        for members, y, want in (
+            # wide spans 4L > 2**53 units of 1/5 at this shift, small 15 + L
+            ([wide, small], F(L, 5), [5, [5.0, 5.0]]),
+            # both rows on the lattice 1/S
+            ([fine, small], F(1, S), [S]),
+        ):
+            scales.clear()
+            got = quadrature._family_profile(members, [y, -y], t)
+            assert got == [[a.translation_defect(m, z, t) for z in (y, -y)] for m in members]
+            assert scales == want
+
+    def test_each_row_meets_the_sweeps_guards(self):
+        # on the lattice 1/S the shift -10/S puts the right edge 2 at
+        # 2S + 10 = 2**62, the left edge stays at 10
+        S = 2**61 - 5
+        f = a.constant(1.0, (0, 2), 1)
+        t = a.ClampPower(1.0)
+        assert quadrature._family_profile([f], [F(-9, S)], t) == [[a.translation_defect(f, F(-9, S), t)]]
+        for shifts in ([F(-10, S)], [F(-9, S), F(-10, S)]):
+            with pytest.raises(a.GridError, match="too fine"):
+                a.translation_defect(f, shifts[-1], t)
+            with pytest.raises(a.GridError, match="too fine"):
+                quadrature._family_profile([f, a.constant(1.0, (0, 1), 1)], shifts, t)
+
+    def test_padding_at_most_doubles_a_row(self, monkeypatch):
+        widths = []
+        profile_grid = quadrature._profile_grid
+
+        def spy(edges, values, shifts, clip, scale, transform):
+            widths.append(edges.shape[1])
+            return profile_grid(edges, values, shifts, clip, scale, transform)
+
+        monkeypatch.setattr(quadrature, "_profile_grid", spy)
+        members = a.g_family(6).members + a.h_family(4).members + a.f_family(3, 1.0).members
+        members += (a.grid_function((0, 3), 1, [1.0, 2.0, 3.0]),)
+        edges = sorted({len(m.runs[0]) for m in members})
+        assert edges == [2, 3, 4, 5, 9, 17]
+        quadrature._family_profile(members, [F(1, 64)], a.ClampPower(1.0))
+        # run-edge counts 2 | 3, 4 | 5 | 9 | 17: one pass each, padded to the
+        # most edges of its members
+        assert sorted(widths) == [2, 4, 5, 9, 17]
+
+
 # ---------------------------------------------------------------------------
 # the materialised common lattice against pointwise Fraction lookups
 # ---------------------------------------------------------------------------
@@ -681,7 +791,7 @@ def _outcome(values):
     """The bits of every value, or the error the computation raised."""
     try:
         return _bits(values())
-    except (a.GridError, OverflowError) as e:
+    except a.GridError as e:
         return type(e), str(e)
 
 
@@ -693,6 +803,14 @@ def _batchable(m) -> bool:
     (lo, hi), = m.box
     S = math.lcm(lo.denominator, m.spacing[0].denominator)
     return S < 2**53 and (hi - lo) * S < 2**53
+
+
+def _outside_kernel(members, t):
+    return quadrature._outside_kernel(members, t, quadrature._family_runs(members))
+
+
+def _level_kernel(members):
+    return quadrature._level_kernel(members, quadrature._family_runs(members))
 
 
 class TestFamilyKernels:
@@ -724,7 +842,7 @@ class TestFamilyKernels:
 
     def _check_outside(self, t, members, radii):
         self._check(
-            lambda ms: quadrature._outside_kernel(ms, t),
+            lambda ms: _outside_kernel(ms, t),
             lambda m, R: a.integrate_transformed(m, t, a.Outside(R)), members, radii,
         )
 
@@ -743,7 +861,7 @@ class TestFamilyKernels:
         values = [float(v) for m in members for v in m.values.ravel()[:8]]
         values += [m.tail.sup() for m in members]
         cuts = [abs(v) for v in data.draw(st.lists(st.sampled_from(values), min_size=1, max_size=6))]
-        self._check(quadrature._level_kernel, a.superlevel_measure, members, cuts + [-0.5])
+        self._check(_level_kernel, a.superlevel_measure, members, cuts + [-0.5])
 
     def test_integer_sums_past_2_53_take_the_per_member_call(self, monkeypatch):
         L, S = 3650211806964173, 2**53 + 1
@@ -753,8 +871,8 @@ class TestFamilyKernels:
         wide = a.grid_function((0, 3 * F(L, 5)), F(L, 5), [1.0, 2.0, 3.0])
         fine = a.grid_function((0, F(3, S)), F(1, S), [1.0, 2.0, 3.0])
         for members in ([wide], [fine], [wide, fine]):
-            assert quadrature._level_kernel(members) is None
-            assert quadrature._outside_kernel(members, a.ClampPower(1.0)) is None
+            assert _level_kernel(members) is None
+            assert _outside_kernel(members, a.ClampPower(1.0)) is None
         # the level search evaluates both members per cut, with no recount
         calls = []
         measure = criteria.superlevel_measure
@@ -774,18 +892,18 @@ class TestFamilyKernels:
         h = F(1, 2**61)
         f = a.grid_function((2, 2 + h), h, [1.0])  # left edge 2**62 on 1/2**61
         with pytest.raises(a.GridError):
-            quadrature._outside_kernel([f], a.ClampPower(1.0))
+            _outside_kernel([f], a.ClampPower(1.0))
         with pytest.raises(a.GridError):
-            quadrature._level_kernel([f])
+            _level_kernel([f])
         # and the per-member calls raise the same error
         self._check_outside(a.ClampPower(1.0), [f], [1.0])
-        self._check(quadrature._level_kernel, a.superlevel_measure, [f], [0.5])
+        self._check(_level_kernel, a.superlevel_measure, [f], [0.5])
 
     def test_zero_outside_mass_of_an_overflowing_group_is_no_nan(self):
         f = a.grid_function((-1, 1), F(1, 4), [0.5, 0.5, 3.0, 3.0, 3.0, 3.0, 0.5, 0.5])
         t = a.AbsPower(700.0)  # 3**700 overflows to inf
         with np.errstate(over="ignore"):
-            kernel = quadrature._outside_kernel([f], t)
+            kernel = _outside_kernel([f], t)
             for R in (0.5, 0.25, 2.0):
                 assert _bits(kernel(R)) == _bits([a.integrate_transformed(f, t, a.Outside(R))])
         assert not math.isnan(kernel(0.5)[0])
