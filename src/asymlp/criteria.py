@@ -19,15 +19,19 @@ call per member.
 Translation is scanned over a declared finite shift lattice, never over
 all real shifts, in doubling blocks of magnitudes; each block is one call
 of ``_family_profile`` for the whole family, one vectorized pass per
-group of members of similar run counts.  The tail and level kernels of a
-report share one build of the family's runs (``FamilySpec``).
+group of members of similar run counts.  A block that kernel refuses
+takes the per-shift ``_defect`` of every member, in shift order, so a
+shift that raises GridError is never reached once an earlier one
+violates.  The tail and level kernels of a report share one build of
+the family's runs (``FamilySpec``).
 
 One helper, ``_worst``, picks the deciding worst member of every search
 candidate and scanned shift, the lift's raised cut included, and
 recounts it with the per-member public function (the per-shift sweep for
 translation) whenever a kernel gave its value; any difference raises
 GridError.  A value that already came from the per-member call is not
-computed twice.
+computed twice, and the scan's ``rechecks`` counts only the recounts
+that ran.
 """
 from __future__ import annotations
 
@@ -44,13 +48,12 @@ from .quadrature import (
     ClampPower,
     Outside,
     Transform,
+    _defect,
     _family_profile,
     _level_kernel,
     _outside_kernel,
     integrate_transformed,
     superlevel_measure,
-    translation_defect,
-    translation_defect_bounds,
 )
 
 __all__ = [
@@ -181,8 +184,9 @@ def _worst(family: FamilySpec, cand, single: Callable, values: list[float] | Non
     ``_group_exact``), so a fault in either one at the deciding member
     shows as a mismatch; the members below the worst are not recounted,
     so a fault that makes another member read low goes unseen.
-    Without values every member makes the per-member call and nothing is
-    recounted: a second call would only repeat the first.
+    values is None when the kernel's batch gate refused the family or
+    block: every member then makes the per-member call and nothing is
+    recounted, since a second call would only repeat the first.
     """
     recount = values is not None
     if values is None:
@@ -213,14 +217,15 @@ def _search_up(
     """Doubling candidates first, 2*first, ... <= bound; bisect after a pass.
 
     kernel(cand) gives every member's value at cand in one family pass;
-    a kernel of None, a family the batch gate refused, takes single per
-    member.  The bisection runs from the last failing candidate, or from
-    floor when the first candidate already passes (no bisection when
-    floor is None), up to the passing one.  Returns (witness or None,
-    worst value at the witness, last_fail, evals) where last_fail is
-    (candidate, worst value, worst position).  The witness always passed
-    its own all-member evaluation, and every candidate's worst member is
-    recounted as ``_worst`` says.
+    a kernel of None, for a family the batch gate of ``_family_runs``
+    refused, takes single per member with no recount, as the translation
+    scan does for a block ``_family_profile`` refuses.  The bisection
+    runs from the last failing candidate, or from floor when the first
+    candidate already passes (no bisection when floor is None), up to the
+    passing one.  Returns (witness or None, worst value at the witness,
+    last_fail, evals) where last_fail is (candidate, worst value, worst
+    position).  The witness always passed its own all-member evaluation,
+    and every candidate's worst member is recounted as ``_worst`` says.
     """
 
     def worst_at(cand: float) -> tuple[float, int]:
@@ -351,12 +356,6 @@ def check_level(family: FamilySpec, eps: float) -> ConditionOutcome:
     )
 
 
-def _defect(m: GridFunction, y: Fraction, transform: Transform) -> float:
-    if m.tail.is_zero:
-        return translation_defect(m, y, transform)
-    return translation_defect_bounds(m, y, transform)[1]
-
-
 def _shift_blocks(lattice: ShiftLattice) -> list[list[Fraction]]:
     """Signed shifts +m, -m in blocks of 1, 3, 4, 8, 16, ...
 
@@ -392,30 +391,23 @@ def _translation_condition(
     def single(m: GridFunction, y: Fraction) -> float:
         return _defect(m, y, transform)
 
-    scanned = 0
+    scanned = rechecks = 0
     violation = None  # (magnitude, signed shift, worst, idx)
-    todo = _shift_blocks(lattice)[::-1]
-    while todo and violation is None:
-        block = todo.pop()
-        try:
-            rows = _family_profile(family.members, block, transform)
-        except GridError:
-            if len(block) == 1:
-                raise
-            # a shift of the block is too fine for the lattice; the shifts
-            # before it may still settle the verdict, as in shift order
-            half = len(block) // 2
-            todo += [block[half:], block[:half]]
-            continue
+    for block in _shift_blocks(lattice):
+        rows = _family_profile(family.members, block, transform)
         for j, y in enumerate(block):
-            # the worst member at every scanned shift, the offender
-            # included, is recounted on the per-shift sweep
-            worst, pos = _worst(family, y, single, [row[j] for row in rows])
+            # the worst member at every shift the kernel answered, the
+            # offender included, is recounted on the per-shift sweep
+            values = None if rows is None else [row[j] for row in rows]
+            worst, pos = _worst(family, y, single, values)
             scanned += 1
+            rechecks += rows is not None
             if not worst < threshold:
                 violation = (abs(y), y, worst, family.indices[pos])
                 break
-    scan["evaluations"] = scan["rechecks"] = scanned
+        if violation is not None:
+            break
+    scan["evaluations"], scan["rechecks"] = scanned, rechecks
 
     if violation is not None and violation[0] == lattice.step:
         mag, y, worst, idx = violation

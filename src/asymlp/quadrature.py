@@ -18,9 +18,9 @@ with no overlap exactly and adds the partly-inside remainders with one
 ``math.fsum``.
 
 ``_family_profile`` gives the defects of every member of a family at a
-block of shifts, with its own merge: one row per (member, shift), each on
-the lattice of its own per-shift sweep, in one vectorized pass per group
-of members whose run-edge counts round up to the same power of two
+block of shifts, with its own merge: one row per (member, shift), all
+rows of a member on one lattice, in one vectorized pass per group of
+members whose run-edge counts round up to the same power of two
 (padding at most doubles a row).  ``translation_profile`` is its
 one-member call.  It returns the per-shift functions' floats, and those
 functions, which never call it, are its reference.  The witness
@@ -31,18 +31,23 @@ with the floats of ``integrate_transformed`` and ``superlevel_measure``,
 which stay their reference.  One batched grouped sum, ``_group_fsums``,
 serves the profile's rows and the ``Outside`` kernel; ``_group_exact``
 stays the per-call one, and every grouped ``math.fsum`` goes through
-``_fsum``, which raises GridError where finite terms add past the float
-range.  The kernels run only when ``_family_runs``, their batch gate,
-admits every member (1-d, lattice scale and total length below 2**53);
-for any other family the builders return None and the per-member calls
-answer.  A ``FamilySpec`` builds those runs once for all its searches.
+``_fsum``, which gives inf when a term is inf and raises GridError where
+finite terms add past the float range.
+
+The three kernels share one batch contract.  ``_family_runs`` gates the
+tail and level kernels and ``_profile_rows`` the translation profile:
+each admits a family, or a block of shifts, only when every member is
+1-d with its lattice scale, edges and spans below 2**53, and otherwise
+returns None, so that the per-member or per-shift calls answer.  A
+``FamilySpec`` builds the runs once for all its searches.
 
 That conversion is one IEEE division when the lattice scale and every
 grouped integer sum are below 2**53: both are then exact doubles and the
-quotient is correctly rounded, the same float ``Fraction`` gives.  Larger
-inputs take the ``Fraction`` route.  Lattice edges are checked in Python
-integers before any int64 arithmetic; geometry whose edges reach 2**62
-raises GridError instead of wrapping.
+quotient is correctly rounded, the same float ``Fraction`` gives.  The
+per-call sweeps take the ``Fraction`` route for larger inputs; the
+kernels never see them.  Lattice edges are checked in Python integers
+before any int64 arithmetic; geometry whose edges reach 2**62 raises
+GridError instead of wrapping.
 """
 from __future__ import annotations
 
@@ -252,10 +257,13 @@ def _block_starts(*keys: np.ndarray) -> np.ndarray:
 
 
 def _fsum(terms) -> float:
-    """``math.fsum`` of the terms; GridError where finite terms add past the float range."""
+    """``math.fsum`` of the terms, all >= 0: inf when one of them is inf,
+    GridError where finite terms add past the float range."""
     try:
         return math.fsum(terms)
     except OverflowError:
+        if math.inf in terms:
+            return math.inf
         raise GridError("a grouped sum overflows a float") from None
 
 
@@ -274,20 +282,15 @@ def _group_fsums(owner, tv, lengths, cuts, scale, n: int) -> list[float]:
     group i holds lengths[cuts[i]:cuts[i + 1]]; owner[i] and tv[i] are its
     owner and T.  A group adds T times its integer length over scale,
     rounded once as in ``_group_terms``; a group with no length or with
-    T = 0 adds no term, not even 0 * inf.  scale is the lattice of every
-    entry, or one float per group below 2**53 (the batch gate of
-    ``_family_runs``), where the quotient is the same single division.
-    ``math.fsum`` rounds correctly in any order, so each owner's float is
-    the per-owner ``_group_exact``, bit for bit.
+    T = 0 adds no term, not even 0 * inf.  scale is one float per group,
+    the lattice of its entries.  The callers' batch gates keep every scale
+    and group sum below 2**53, so the quotient is the single division of
+    ``_group_terms``.  ``math.fsum`` rounds correctly in any order, so
+    each owner's float is the per-owner ``_group_exact``, bit for bit.
     """
     sums = np.add.reduceat(lengths, cuts)
     kept = (sums > 0) & (tv != 0.0)
-    sums, tv = sums[kept], tv[kept]
-    if isinstance(scale, np.ndarray):
-        terms = (sums / scale[kept] * tv).tolist()
-    else:
-        terms = _group_terms(tv, sums, 1, scale) if len(sums) else []
-    return _fsum_by(owner[kept], terms, n)
+    return _fsum_by(owner[kept], (sums[kept] / scale[kept] * tv[kept]).tolist(), n)
 
 
 def _overlap(fl: np.ndarray, fr: np.ndarray, R: float) -> np.ndarray:
@@ -586,19 +589,30 @@ def translation_defect_bounds(
     return exact, exact + strip + tail_term
 
 
+def _defect(f: GridFunction, y: Fraction, transform: Transform) -> float:
+    """The per-shift reference of the translation scan: the exact defect
+    for a zero tail, the certified upper bound for a live one."""
+    if f.tail.is_zero:
+        return translation_defect(f, y, transform)
+    return translation_defect_bounds(f, y, transform)[1]
+
+
 def translation_profile(f: GridFunction, shifts, transform: Transform) -> list[float]:
     """The translation defect of f at every shift, in one vectorized pass.
 
-    Entry i equals ``translation_defect(f, shifts[i], transform)`` for a
-    zero tail and ``translation_defect_bounds(f, shifts[i], transform)[1]``
-    for a live one, bit for bit.  Those two stay on ``_sweep`` alone: they
-    are the independent reference this kernel is checked against.  This is
-    the one-member call of ``_family_profile``.
+    Entry i equals ``_defect(f, shifts[i], transform)``, bit for bit:
+    ``translation_defect`` for a zero tail and
+    ``translation_defect_bounds(...)[1]`` for a live one.  Those two stay
+    on ``_sweep`` alone: they are the independent reference this kernel is
+    checked against, and they answer the shifts ``_family_profile``
+    refuses.
     """
-    return _family_profile([f], shifts, transform)[0]
+    shifts = list(shifts)
+    rows = _family_profile([f], shifts, transform)
+    return [_defect(f, y, transform) for y in shifts] if rows is None else rows[0]
 
 
-def _family_profile(members, shifts, transform: Transform) -> list[list[float]]:
+def _family_profile(members, shifts, transform: Transform) -> list[list[float]] | None:
     """``translation_profile`` of every member at the same shifts, batched.
 
     Row (i, j) is member i at shifts[j].  Rows are grouped by their
@@ -606,91 +620,93 @@ def _family_profile(members, shifts, transform: Transform) -> list[list[float]]:
     most doubles the elements of a pass; each group runs ``_profile_grid``
     once per ``_PROFILE_BUDGET`` elements.  A live tail's onset-strip and
     tail-tail terms read only |y|, so each member computes them once per
-    magnitude.
+    magnitude.  None when a member is 2-d, when the batch gate of
+    ``_profile_rows`` refuses the block, or when a sum or term overflows
+    a float: the per-shift calls then answer, and raise their GridError
+    in shift order.
     """
     if any(m.dim != 1 for m in members):
-        raise GridError("translation defects are one-dimensional here")
-    shifts = [as_fraction(y) for y in shifts]
-    # neither window, None or (-inf, min(L, L - y)), has a lower bound, so
-    # the degenerate value is the same at every member and shift
-    degenerate = _degenerate_threshold(transform, None)
-    if degenerate is not None:
-        grid = [[degenerate] * len(shifts) for _ in members]
-    else:
-        grid = _profile_rows(members, shifts, transform)
-    out = []
-    for m, row in zip(members, grid):
-        if not m.tail.is_zero:
-            bound: dict[Fraction, tuple[float, float]] = {}
-            for j, y in enumerate(shifts):
-                mag = abs(y)
-                if mag not in bound:
-                    bound[mag] = _onset_and_tail(m, mag, transform)
-                strip, tail_term = bound[mag]
-                row[j] = row[j] + strip + tail_term
-        out.append(row)
-    return out
+        return None
+    try:
+        shifts = [as_fraction(y) for y in shifts]
+        # neither window, None or (-inf, min(L, L - y)), has a lower bound,
+        # so the degenerate value is the same at every member and shift
+        degenerate = _degenerate_threshold(transform, None)
+        if degenerate is not None:
+            grid = [[degenerate] * len(shifts) for _ in members]
+        else:
+            grid = _profile_rows(members, shifts, transform)
+            if grid is None:
+                return None
+        for m, row in zip(members, grid):
+            if not m.tail.is_zero:
+                bound: dict[Fraction, tuple[float, float]] = {}
+                for j, y in enumerate(shifts):
+                    mag = abs(y)
+                    if mag not in bound:
+                        bound[mag] = _onset_and_tail(m, mag, transform)
+                    strip, tail_term = bound[mag]
+                    row[j] = row[j] + strip + tail_term
+    except GridError:
+        # a grouped sum or a closed-form term overflows a float
+        return None
+    return grid
 
 
-def _profile_rows(members, shifts: list[Fraction], transform: Transform) -> list[list[float]]:
-    """Grid parts of the defect of every member at every shift.
+def _profile_rows(members, shifts: list[Fraction], transform: Transform) -> list[list[float]] | None:
+    """Grid parts of the defect of every member at every shift, or None.
 
-    Each row keeps the lattice of its own sweep, 1/S with S the lcm of
-    the member's box start, spacing and shift denominators, and is
-    checked against the sweep's guards in Python integers before any
-    int64 arithmetic.  Rows whose S and merged lattice span are below
-    2**53 share a pass with one float scale per row; any other row goes
-    with the rows of its own S, through the integer scale of
-    ``_group_fsums``.  Either way each group is rounded once, as there.
+    All rows of a member share one lattice 1/S, S the lcm of its box
+    start, spacing and every shift denominator: an integer multiple of
+    each per-shift sweep's lattice.  This is the batch gate: it gives
+    None unless, for every member, S and every edge, shifted or not, and
+    the merged span of each row are below 2**53.  Every group sum and S
+    are then exact doubles, the same multiple of the sweep's, so one
+    float division gives the sweep's correctly rounded quotient, and no
+    int64 key wraps.  The gate compares Python integers and never raises.
     """
     grid = [[0.0] * len(shifts) for _ in members]
-    # pass key -> (its members, its rows); a row names its member by its
-    # place in the pass
-    passes: dict[tuple, tuple[list[int], list[tuple]]] = {}
+    # run-edge width -> (its members with their lattices, its rows); a row
+    # names its member by its place in the pass
+    passes: dict[int, tuple[list[tuple], list[tuple]]] = {}
+    # the shifts on the lattice 1/D of their denominators
+    D = _scale_for(*shifts)
+    at_D = [y.numerator * (D // y.denominator) for y in shifts]
+    up, down = max([0, *at_D]), min([0, *at_D])
     for i, m in enumerate(members):
         (a, L), = m.box
         h = m.spacing[0]
-        base = _scale_for(a, h)
-        width = (len(m.runs[0]) - 1).bit_length()
+        S = math.lcm(a.denominator, h.denominator, D)
+        k = S // D
+        e0, step, end = (x.numerator * (S // x.denominator) for x in (a, h, L))
+        # the highest and lowest edges, shifted or not, and the widest span
+        far = max(end - k * down, k * up - e0, end - e0 + k * max(up, -down))
+        if S >= _EXACT_INT or far >= _EXACT_INT:
+            return None
+        used, rows = passes.setdefault((len(m.runs[0]) - 1).bit_length(), ([], []))
+        used.append((i, e0, step, S))
         live = not m.tail.is_zero
-        lattices: dict[int, tuple[int, int, int, int]] = {}
-        for j, y in enumerate(shifts):
-            d = y.denominator
-            if d not in lattices:
-                S = math.lcm(base, d)
-                lattices[d] = (S, *(_lattice(x, S) for x in (a, h, L)))
-            S, e0, step, end = lattices[d]
-            s = y.numerator * (S // d)
-            # both ends of the box, shifted; y * S itself may pass 2**62,
-            # it still fits an int64
-            _check_guard(e0 - s)
-            _check_guard(end - s)
-            # the row's group sums are at most its merged span
-            float_scale = S < _EXACT_INT and end - e0 + abs(s) < _EXACT_INT
-            used, rows = passes.setdefault((width, None if float_scale else S), ([], []))
-            if not used or used[-1] != i:
-                used.append(i)
-            clip = min(end, end - s) if live else _INT_GUARD
-            rows.append((i, j, len(used) - 1, S, e0, step, s, clip))
-    for (_, S), (used, rows) in passes.items():
-        k = max(len(members[i].runs[0]) for i in used)
-        # each member's run bounds padded by repeating the last one, so the
+        for j, t in enumerate(at_D):
+            s = t * k
+            rows.append((i, j, len(used) - 1, s, min(end, end - s) if live else _EXACT_INT))
+    for used, rows in passes.values():
+        n = max(len(members[i].runs[0]) for i, *_ in used)
+        # each member's run edges padded by repeating the last one, so the
         # padding pieces have zero length; its values with a 0 on each side
-        bounds = np.empty((len(used), k), dtype=np.int64)
-        values = np.zeros((len(used), k + 1))
-        for r, i in enumerate(used):
+        edges = np.empty((len(used), n), dtype=np.int64)
+        values = np.zeros((len(used), n + 1))
+        for r, (i, e0, step, _) in enumerate(used):
             b, v = members[i].runs
-            bounds[r, :len(b)] = b
-            bounds[r, len(b):] = b[-1]
+            edges[r, :len(b)] = e0 + step * b
+            edges[r, len(b):] = edges[r, len(b) - 1]
             values[r, 1:len(b)] = v
-        per = max(1, _PROFILE_BUDGET // (2 * k))
+        scales = np.array([S for *_, S in used], dtype=np.float64)
+        per = max(1, _PROFILE_BUDGET // (2 * n))
         for lo in range(0, len(rows), per):
-            i, j, r, scales, e0, step, s, clip = zip(*rows[lo:lo + per])
+            i, j, r, s, clip = zip(*rows[lo:lo + per])
             r = list(r)
-            e0, step, s, clip = (np.array(c, dtype=np.int64) for c in (e0, step, s, clip))
-            edges = e0[:, None] + step[:, None] * bounds[r]
-            scale = np.array(scales, dtype=np.float64) if S is None else S
-            for i_, j_, v in zip(i, j, _profile_grid(edges, values[r], s, clip, scale, transform)):
+            s, clip = (np.array(c, dtype=np.int64) for c in (s, clip))
+            for i_, j_, v in zip(i, j, _profile_grid(edges[r], values[r], s, clip, scales[r], transform)):
                 grid[i_][j_] = v
     return grid
 
@@ -700,23 +716,23 @@ def _profile_grid(
     values: np.ndarray,
     shifts: np.ndarray,
     clip: np.ndarray,
-    scale,
+    scale: np.ndarray,
     transform: Transform,
 ) -> list[float]:
     """Grid parts of the defects of rows of (member, integer shift s).
 
     Row r holds its member's run edges E on its lattice, padded by
     repeating the last edge, the run values with a 0 on each side, its
-    shift s and its clip: min(L, L - y) for a live tail, else past every
-    edge.  It sorts E together with E - s, no edge deduplicated, each
-    tagged in its lowest bit (1 for E).  Before a piece of positive
-    length every edge up to its left end is already placed, so the tags
-    up to piece k count the edges of f at or left of it and the rest are
-    shifted ones: the lookups of f(x) and f(x + y).  Zero-length pieces
-    drop out as in ``_group_exact``.  scale is one int for every row or,
-    below 2**53, one float per row (see ``_group_fsums``).
+    shift s, its clip (min(L, L - y) for a live tail, else past every
+    edge) and its lattice scale as a float.  It sorts E together with
+    E - s, no edge deduplicated, each tagged in its lowest bit (1 for E).
+    Before a piece of positive length every edge up to its left end is
+    already placed, so the tags up to piece k count the edges of f at or
+    left of it and the rest are shifted ones: the lookups of f(x) and
+    f(x + y).  Zero-length pieces drop out as in ``_group_exact``.
     """
-    # edges lie strictly within 2**62 of 0, so a doubled one fits an int64
+    # the gate of _profile_rows keeps every edge below 2**53, so a doubled
+    # one fits an int64
     keys = np.concatenate((edges << 1 | 1, (edges - shifts[:, None]) << 1), axis=1)
     keys.sort(axis=1)
     in_f = np.cumsum(keys[:, :-1] & 1, axis=1)
@@ -733,9 +749,7 @@ def _profile_grid(
     tv, lengths = tvals.ravel()[order], lengths[order]
     cuts = _block_starts(np.repeat(np.arange(rows), pieces), tv)
     row = cuts // pieces
-    if isinstance(scale, np.ndarray):
-        scale = scale[row]
-    return _group_fsums(row, tv[cuts], lengths, cuts, scale, rows)
+    return _group_fsums(row, tv[cuts], lengths, cuts, scale[row], rows)
 
 
 def superlevel_measure(f: GridFunction, level: float) -> float:

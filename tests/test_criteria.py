@@ -327,6 +327,46 @@ class TestTranslationScan:
         assert f"first violation at y={float(F(9, S)):.6g}" in out.detail
         assert out.scan["evaluations"] == 17
 
+    def test_a_refused_block_makes_one_call_per_member_and_shift(self, monkeypatch):
+        # the lattice 1/S is past 2**53, so the batch gate refuses every
+        # block: each member makes the per-shift call once per scanned
+        # shift and nothing recounts it
+        S = 2**61 - 5
+        members = (a.constant(1.0, (0, 2), 1), a.constant(1.0, (0, 1), 1))
+        assert quadrature._family_profile(members, [F(1, S)], a.ClampPower(1.0)) is None
+        calls = []
+        defect = quadrature.translation_defect
+
+        def spy(f, y, transform, window=None):
+            calls.append(y)
+            return defect(f, y, transform, window)
+
+        monkeypatch.setattr(quadrature, "translation_defect", spy)
+        fam = a.FamilySpec("edge", 1.0, members, (1, 2))
+        out = a.check_translation(fam, 17 / S, a.ShiftLattice(F(1, S), 16))
+        assert (out.verdict, out.witness, out.offender_index) == ("pass", float(F(9, S)), None)
+        assert f"first violation at y={float(F(9, S)):.6g} (member 1, " in out.detail
+        assert (out.scan["evaluations"], out.scan["rechecks"]) == (17, 0)
+        assert len(calls) == 2 * 17
+
+    def test_an_overflow_after_the_violation_is_never_reached(self):
+        # the live tail's bound term overflows from |y| = 48 on, in the
+        # block of magnitudes 40..64 where 40 already violates: the block
+        # is refused and the per-shift calls stop at the violation
+        tail = a.TailSpec.power_law(0.8, 2.0, 4)
+        f = a.GridFunction(((-124, 4),), (8,), np.zeros(16), tail)
+        t = a.AbsPower(7000.0)
+        with pytest.raises(a.GridError, match="overflows"):
+            a.translation_defect_bounds(f, 48, t)
+        assert quadrature._family_profile([f], [40, -40, 48, -48], t) is None
+        fam = a.FamilySpec("steep", 7000.0, (f,), (1,))
+        out = a.check_kr_lp(fam, 0.998)[1]
+        assert (out.verdict, out.witness) == ("pass", 40.0)
+        value = a.translation_defect_bounds(f, 40, t)[1]
+        assert f"first violation at y=40 (member 1, {value:.6g})" in out.detail
+        # the eight shifts before 40 were recounted, 40 itself was not
+        assert (out.scan["evaluations"], out.scan["rechecks"]) == (9, 8)
+
 
 class TestClassicalConditions:
     def test_u_family_rejected_nowhere_but_fails_tail(self):
