@@ -13,34 +13,25 @@ Usage:
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction as F
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import asymlp as a
+from asymlp import cli
+
+SHIFTS = (F(1, 16), F(1, 8), F(1, 4), F(1, 2))
 
 
-@dataclass(frozen=True)
-class TableConfig:
-    eps: float = 0.5
-    family_size: int = 100
-    rademacher_size: int = 10
-    escape_size: int = 64
-    blowup_size: int = 16
-    shifts: tuple[F, ...] = (F(1, 16), F(1, 8), F(1, 4), F(1, 2))
-    out: str | None = None
-
-
-def closed_form_rows(cfg: TableConfig) -> list[dict]:
+def closed_form_rows() -> list[dict]:
     rows = []
 
     def row(quantity, computed, expected, tol):
         rows.append({"quantity": quantity, "computed": computed,
                      "expected": expected, "tol": tol})
 
-    for y in cfg.shifts:
+    for y in SHIFTS:
         got = a.translation_defect(a.family_g(12), y, a.ClampPower(1.0))
         row(f"moving-bump defect, y={y}", got, 2 * float(y), 1e-12)
     for R in (2, 5):
@@ -65,17 +56,10 @@ def closed_form_rows(cfg: TableConfig) -> list[dict]:
     return rows
 
 
-def verdict_rows(cfg: TableConfig) -> list[dict]:
-    K, eps = cfg.family_size, cfg.eps
-    families = (
-        a.f_family(K, 1.0),
-        a.g_family(K, 1.0),
-        a.h_family(cfg.rademacher_size),
-        a.u_family(cfg.escape_size, 1.0),
-        a.v_family(cfg.blowup_size, 2.0),
-    )
+def verdict_rows(eps: float) -> list[dict]:
+    """The verdict matrix of the documented families of ``asymlp examples``."""
     rows = []
-    for fam in families:
+    for fam in (a.parse_family(d) for d, _ in cli._EXAMPLE_ROWS):
         rep = a.full_report(fam, [eps])
         row = {"family": fam.name, "K": len(fam), "p": fam.p}
         for cond in ("tail", "translation", "level", "lp-tail", "lp-translation"):
@@ -108,9 +92,8 @@ def main(argv=None) -> int:
     parser.add_argument("--eps", type=float, default=0.5)
     parser.add_argument("--out", help="also write every table as JSON")
     args = parser.parse_args(argv)
-    cfg = TableConfig(eps=args.eps, out=args.out)
 
-    closed = closed_form_rows(cfg)
+    closed = closed_form_rows()
     all_within = all(
         abs(r["computed"] - r["expected"]) <= r["tol"] for r in closed)
     worst = max(abs(r["computed"] - r["expected"]) /
@@ -119,14 +102,14 @@ def main(argv=None) -> int:
     print(f"\nworst relative deviation: {worst:.3e}"
           f" ({'all' if all_within else 'NOT all'} rows within tolerance)")
 
-    verdicts = verdict_rows(cfg)
-    print_table(verdicts, f"Condition verdicts at eps={cfg.eps}")
+    verdicts = verdict_rows(args.eps)
+    print_table(verdicts, f"Condition verdicts at eps={args.eps}")
 
-    if cfg.out:
+    if args.out:
         payload = {"closed_form": closed, "verdicts": verdicts,
                    "worst_relative_deviation": worst}
-        Path(cfg.out).write_text(json.dumps(payload, indent=2, default=str))
-        print(f"\nwrote {cfg.out}")
+        Path(args.out).write_text(json.dumps(payload, indent=2, default=str))
+        print(f"\nwrote {args.out}")
     return 0 if all_within else 1
 
 

@@ -9,226 +9,28 @@ witness search, constructive covering nets, and certificates for the
 bounded-domain corollary.
 """
 
-from .grid import (
-    GridError,
-    IncompatibleGridsError,
-    NotInSpaceError,
-    FractionLike,
-    as_fraction,
-    fraction_gcd,
-    TailSpec,
-    ZERO_TAIL,
-    GridFunction,
-    grid_function,
-    constant,
-    sample,
-    indicator,
-    add,
-    subtract,
-    MeasurableSet,
-    power_tail_integral,
-    clamped_power_tail_integral,
-)
-from .quadrature import (
-    AbsPower,
-    ClampPower,
-    Threshold,
-    Outside,
-    Window,
-    integrate_transformed,
-    difference_integral,
-    translation_defect,
-    translation_defect_bounds,
-    translation_profile,
-    superlevel_measure,
-    superlevel_set,
-)
-from .norms import (
-    NormParams,
-    ConvergenceReport,
-    lp_norm,
-    alpha_norm,
-    lp_distance,
-    alpha_distance,
-    alpha_converges,
-)
-from .operators import (
-    MisalignedShiftError,
-    translate,
-    truncate,
-    clamp_unit,
-    scale,
-)
-from .families import (
-    FamilySpec,
-    default_phi,
-    family_f,
-    family_g,
-    rademacher,
-    family_u,
-    family_v,
-    v_limit_distance,
-    f_family,
-    g_family,
-    h_family,
-    u_family,
-    v_family,
-    lipschitz_family,
-    spike_family,
-    FAMILY_BUILDERS,
-    parse_family,
-)
-from .criteria import (
-    ShiftLattice,
-    ConditionOutcome,
-    ConditionReport,
-    check_tail,
-    check_translation,
-    check_level,
-    check_kr_lp,
-    full_report,
-)
-from .nets import (
-    EpsNet,
-    CoveringCheck,
-    LevelConditionError,
-    pairwise_distances,
-    greedy_net,
-    verify_covering,
-    covering_profile,
-    truncation_lift_net,
-)
-from .bounded import (
-    ExceptionalSet,
-    BoundednessCertificate,
-    EquicontinuityCertificate,
-    CorollaryRow,
-    CorollaryReport,
-    convergence_in_measure,
-    almost_equibounded_certificate,
-    almost_equicontinuity_certificate,
-    corollary_crosscheck,
-    symmetric_difference_decay,
-)
-from .io import (
-    function_to_dict,
-    function_from_dict,
-    family_to_dict,
-    family_from_dict,
-    report_to_dict,
-    net_to_dict,
-    save_json,
-    load_json,
-    load_function,
-    load_family,
-)
+# Each module's __all__ is its one list of public names.  A star import
+# also binds the submodule itself, whose __all__ the lines below add in
+# the same order.
+from .grid import *
+from .quadrature import *
+from .norms import *
+from .operators import *
+from .families import *
+from .criteria import *
+from .nets import *
+from .bounded import *
+from .io import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # grid
-    "GridError",
-    "IncompatibleGridsError",
-    "NotInSpaceError",
-    "FractionLike",
-    "as_fraction",
-    "fraction_gcd",
-    "TailSpec",
-    "ZERO_TAIL",
-    "GridFunction",
-    "grid_function",
-    "constant",
-    "sample",
-    "indicator",
-    "add",
-    "subtract",
-    "MeasurableSet",
-    "power_tail_integral",
-    "clamped_power_tail_integral",
-    # quadrature
-    "AbsPower",
-    "ClampPower",
-    "Threshold",
-    "Outside",
-    "Window",
-    "integrate_transformed",
-    "difference_integral",
-    "translation_defect",
-    "translation_defect_bounds",
-    "translation_profile",
-    "superlevel_measure",
-    "superlevel_set",
-    # norms
-    "NormParams",
-    "ConvergenceReport",
-    "lp_norm",
-    "alpha_norm",
-    "lp_distance",
-    "alpha_distance",
-    "alpha_converges",
-    # operators
-    "MisalignedShiftError",
-    "translate",
-    "truncate",
-    "clamp_unit",
-    "scale",
-    # families
-    "FamilySpec",
-    "default_phi",
-    "family_f",
-    "family_g",
-    "rademacher",
-    "family_u",
-    "family_v",
-    "v_limit_distance",
-    "f_family",
-    "g_family",
-    "h_family",
-    "u_family",
-    "v_family",
-    "lipschitz_family",
-    "spike_family",
-    "FAMILY_BUILDERS",
-    "parse_family",
-    # criteria
-    "ShiftLattice",
-    "ConditionOutcome",
-    "ConditionReport",
-    "check_tail",
-    "check_translation",
-    "check_level",
-    "check_kr_lp",
-    "full_report",
-    # nets
-    "EpsNet",
-    "CoveringCheck",
-    "LevelConditionError",
-    "pairwise_distances",
-    "greedy_net",
-    "verify_covering",
-    "covering_profile",
-    "truncation_lift_net",
-    # bounded
-    "ExceptionalSet",
-    "BoundednessCertificate",
-    "EquicontinuityCertificate",
-    "CorollaryRow",
-    "CorollaryReport",
-    "convergence_in_measure",
-    "almost_equibounded_certificate",
-    "almost_equicontinuity_certificate",
-    "corollary_crosscheck",
-    "symmetric_difference_decay",
-    # io
-    "function_to_dict",
-    "function_from_dict",
-    "family_to_dict",
-    "family_from_dict",
-    "report_to_dict",
-    "net_to_dict",
-    "save_json",
-    "load_json",
-    "load_function",
-    "load_family",
-]
+__all__ = ["__version__"]
+__all__ += grid.__all__
+__all__ += quadrature.__all__
+__all__ += norms.__all__
+__all__ += operators.__all__
+__all__ += families.__all__
+__all__ += criteria.__all__
+__all__ += nets.__all__
+__all__ += bounded.__all__
+__all__ += io.__all__

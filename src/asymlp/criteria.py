@@ -52,6 +52,7 @@ from .quadrature import (
     _family_profile,
     _level_kernel,
     _outside_kernel,
+    _tail_from,
     integrate_transformed,
     superlevel_measure,
 )
@@ -298,18 +299,14 @@ def _search_condition(
     )
 
 
-def _tail_horizon(family: FamilySpec, threshold: float, p: float, clamped: bool) -> float:
+def _tail_horizon(family: FamilySpec, threshold: float, transform: Transform) -> float:
     """Radius beyond which every live tail alone stays under the threshold."""
     live = [m.tail for m in family.members if not m.tail.is_zero]
     if not live:
         return 0.0
     X = 1.0
     for _ in range(60):
-        vals = [
-            t.clamp_power_integral(p, X) if clamped else t.abs_power_integral(p, X)
-            for t in live
-        ]
-        if max(vals) < threshold:
+        if max(_tail_from(t, transform, X) for t in live) < threshold:
             return X
         X *= 2.0
     raise GridError("tail horizon search did not terminate; tails too heavy")
@@ -320,13 +317,9 @@ def _tail_condition(
 ) -> ConditionOutcome:
     if eps <= 0:
         raise GridError("eps must be positive")
-    p = family.p
-    threshold = eps**p
-    clamped = isinstance(transform, ClampPower)
+    threshold = eps**family.p
     first = float(family.min_spacing())
-    bound = float(family.max_box_radius()) + _tail_horizon(
-        family, threshold, p, clamped
-    )
+    bound = float(family.max_box_radius()) + _tail_horizon(family, threshold, transform)
 
     def single(m: GridFunction, R: float) -> float:
         return integrate_transformed(m, transform, Outside(R))

@@ -136,10 +136,33 @@ class Window:
 Region = Union[None, Outside, Window]
 
 
+def _quiet(safe: bool, op, x, y) -> np.ndarray:
+    """op(x, y) for a power or a product of terms >= 0.
+
+    An entry that overflows is inf, the value every sum here then gives.
+    The caller passes safe when a cheap scalar bound shows that no entry
+    can overflow; otherwise numpy's overflow warning is silenced, since
+    ``np.errstate`` costs more than many of the small calls here.
+    """
+    if safe:
+        return op(x, y)
+    with np.errstate(over="ignore"):
+        return op(x, y)
+
+
+def _products(x: np.ndarray, y: np.ndarray) -> list[float]:
+    """x * y entrywise in Python floats, where an overflow is inf, unwarned."""
+    return [a * b for a, b in zip(x.tolist(), y.tolist())]
+
+
 def _apply(transform: Transform, v: np.ndarray) -> np.ndarray:
     a = np.abs(v)
     if isinstance(transform, AbsPower):
-        return a if transform.p == 1.0 else a**transform.p
+        p = transform.p
+        if p <= 1.0:  # a**p <= max(a, 1)
+            return a if p == 1.0 else a**p
+        top = float(a.max(initial=0.0))
+        return _quiet(top <= 1.0 or p * math.log2(top) < 1023.0, np.power, a, p)
     if isinstance(transform, ClampPower):
         c = np.minimum(a, 1.0)
         return c if transform.p == 1.0 else c**transform.p
@@ -237,13 +260,18 @@ def _group_terms(values: np.ndarray, counts: np.ndarray, num: int, den: int) -> 
     """values[i] times the correctly rounded counts[i] * num / den.
 
     One term per group, so an fsum of the terms rounds each group once.
-    counts are non-negative integers and num, den positive.  Below 2**53
-    the product and the denominator are exact doubles, so a single float
-    division gives the correctly rounded quotient; otherwise Fraction does.
-    Either way each term is the same float.
+    values ascend, counts are non-negative integers and num, den positive.
+    Below 2**53 the product and the denominator are exact doubles, so a
+    single float division gives the correctly rounded quotient; otherwise
+    Fraction does.  Either way each term is the same float, inf where it
+    overflows.
     """
-    if den < _EXACT_INT and int(counts.max()) * num < _EXACT_INT:
-        return (counts * num / den * values).tolist()
+    top = int(counts.max()) * num
+    if den < _EXACT_INT and top < _EXACT_INT:
+        # the largest quotient times the largest value, rounded as each
+        # term is, bounds every term
+        safe = top / den * float(values[-1]) < math.inf
+        return _quiet(safe, np.multiply, counts * num / den, values).tolist()
     return [float(Fraction(int(c) * num, den)) * float(v) for v, c in zip(values, counts)]
 
 
@@ -285,12 +313,15 @@ def _group_fsums(owner, tv, lengths, cuts, scale, n: int) -> list[float]:
     T = 0 adds no term, not even 0 * inf.  scale is one float per group,
     the lattice of its entries.  The callers' batch gates keep every scale
     and group sum below 2**53, so the quotient is the single division of
-    ``_group_terms``.  ``math.fsum`` rounds correctly in any order, so
-    each owner's float is the per-owner ``_group_exact``, bit for bit.
+    ``_group_terms``, and below 2**53.  ``math.fsum`` rounds correctly in
+    any order, so each owner's float is the per-owner ``_group_exact``,
+    bit for bit.
     """
     sums = np.add.reduceat(lengths, cuts)
     kept = (sums > 0) & (tv != 0.0)
-    return _fsum_by(owner[kept], (sums[kept] / scale[kept] * tv[kept]).tolist(), n)
+    tv = tv[kept]
+    safe = _EXACT_INT * float(tv.max(initial=0.0)) < math.inf
+    return _fsum_by(owner[kept], _quiet(safe, np.multiply, sums[kept] / scale[kept], tv).tolist(), n)
 
 
 def _overlap(fl: np.ndarray, fr: np.ndarray, R: float) -> np.ndarray:
@@ -326,7 +357,7 @@ def _outside(
     """
     out, partial = _outside_masks(inside, full)
     exact = _group_exact(np.where(out, tvals, 0.0), counts, den, num)
-    return exact + _fsum((full - inside)[partial] * tvals[partial])
+    return exact + _fsum(_products((full - inside)[partial], tvals[partial]))
 
 
 def _reduce_region(
@@ -778,16 +809,22 @@ def _family_runs(members):
     1/scale[i].  This is the batch gate of the kernels: it gives None,
     and the per-member calls answer, unless every member is 1-d with a
     lattice scale and a total length below 2**53, where every grouped
-    integer sum and scale is an exact double.  A lattice past 2**62
-    raises GridError here, as ``_pw_of`` does.
+    integer sum and scale is an exact double.  It refuses, never raises,
+    a lattice that ``_pw_of`` rejects, so the per-member calls raise their
+    errors in member order.
     """
     parts = []
     for i, m in enumerate(members):
         if m.dim != 1:
             return None
         scale = _scale_for(m.box[0][0], m.spacing[0])
-        edges = _pw_of(m, scale).edges
-        if scale >= _EXACT_INT or edges[-1] - edges[0] >= _EXACT_INT:
+        if scale >= _EXACT_INT:
+            return None
+        try:
+            edges = _pw_of(m, scale).edges
+        except GridError:
+            return None
+        if edges[-1] - edges[0] >= _EXACT_INT:
             return None
         n = len(edges) - 1
         parts.append((np.full(n, i), edges[:-1], np.diff(edges), m.runs[1], np.full(n, float(scale))))
@@ -827,7 +864,7 @@ def _outside_kernel(members, transform: Transform, runs):
         out, partial = _outside_masks(inside, full)
         exact = _group_fsums(owner, group_tv, np.where(out, lengths, 0), cuts, group_scale, n)
         partial = np.flatnonzero(partial)
-        rest = _fsum_by(pos[partial], ((full - inside)[partial] * tv[partial]).tolist(), n)
+        rest = _fsum_by(pos[partial], _products((full - inside)[partial], tv[partial]), n)
         region = Outside(R)
         return [
             _with_tail(m, transform, region, lambda g=e + r: g)

@@ -139,9 +139,8 @@ class TestTails:
         assert quadrature._fsum([math.inf, 1e308, 1.5e308]) == math.inf
         for values in ([1e300, 1.5e298, 1.6e298], [1e300, 1.0, 2.0]):
             g = a.grid_function((0, 3 * 2**33), 2**33, values)
-            with np.errstate(over="ignore"):  # 1e300 * 2**33
-                assert a.integrate_transformed(g, a.AbsPower(1.0)) == math.inf
-                assert a.lp_norm(g, 1.0) == math.inf
+            assert a.integrate_transformed(g, a.AbsPower(1.0)) == math.inf
+            assert a.lp_norm(g, 1.0) == math.inf
 
 
 class TestAlgebra:

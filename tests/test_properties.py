@@ -1,6 +1,5 @@
 """Property-based invariants over randomly generated grid functions."""
 import math
-import re
 from fractions import Fraction as F
 
 import numpy as np
@@ -847,20 +846,12 @@ class TestFamilyKernels:
     """Both kernels answer every candidate as the per-member calls do."""
 
     @staticmethod
-    @np.errstate(over="ignore")  # AbsPower(700) overflows on either side
     def _check(build, single, members, candidates):
-        try:
-            kernel = build(members)
-        except a.GridError as e:
-            # the lattice is rejected when the kernel is built; the
-            # per-member call rejects it at the first candidate it sweeps
-            with pytest.raises(a.GridError, match=re.escape(str(e))):
-                for c in candidates:
-                    [single(m, c) for m in members]
-            return
-        # the gate refuses exactly the families with a member it cannot
-        # batch; their search takes the per-member calls, and the members
-        # it admits still batch
+        # the gate never raises and refuses exactly the families with a
+        # member it cannot batch, a lattice the sweep rejects among them;
+        # their search takes the per-member calls, which raise in member
+        # order, and the members it admits still batch
+        kernel = build(members)
         assert (kernel is not None) == all(map(_batchable, members))
         if kernel is None:
             members = [m for m in members if _batchable(m)]
@@ -918,23 +909,45 @@ class TestFamilyKernels:
         worst = max(measure(m, out.witness) for m in (wide, fine))
         assert out.detail == f"worst superlevel measure {worst:.6g} < 0.5"
 
-    def test_a_lattice_past_the_guard_raises_when_the_kernel_is_built(self):
+    def test_a_lattice_past_the_guard_is_refused_by_the_gate(self):
         h = F(1, 2**61)
         f = a.grid_function((2, 2 + h), h, [1.0])  # left edge 2**62 on 1/2**61
-        with pytest.raises(a.GridError):
-            _outside_kernel([f], a.ClampPower(1.0))
-        with pytest.raises(a.GridError):
-            _level_kernel([f])
-        # and the per-member calls raise the same error
-        self._check_outside(a.ClampPower(1.0), [f], [1.0])
-        self._check(_level_kernel, a.superlevel_measure, [f], [0.5])
+        assert _outside_kernel([f], a.ClampPower(1.0)) is None
+        assert _level_kernel([f]) is None
+        # the per-member calls raise the sweep's error
+        with pytest.raises(a.GridError, match="too fine"):
+            a.integrate_transformed(f, a.ClampPower(1.0), a.Outside(1.0))
+        with pytest.raises(a.GridError, match="too fine"):
+            a.superlevel_measure(f, 0.5)
+        # a scale below 2**53 with an edge past 2**62 is refused too
+        wide = a.grid_function((2**62, 2**62 + 1), 1, [1.0])
+        assert _level_kernel([wide]) is None
+        with pytest.raises(a.GridError, match="too fine"):
+            a.superlevel_measure(wide, 0.5)
+
+    def test_an_earlier_members_error_comes_first(self):
+        # member 0's closed-form tail term overflows at AbsPower(700), and
+        # member 1's lattice 1/(2**60 - 3) is past the guard: the family is
+        # refused, and its search raises member 0's error, as the
+        # per-member calls do
+        tailed = a.GridFunction(
+            ((F(-4, 13), F(1, 13)),), (F(1, 13),), np.zeros(5), a.TailSpec.power_law(0.5, 1.0, F(1, 13))
+        )
+        S = 2**60 - 3
+        fine = a.grid_function((6, 6 + F(18, S)), F(3, S), [0.0] * 6)
+        t = a.AbsPower(700.0)
+        assert _outside_kernel([tailed, fine], t) is None
+        with pytest.raises(a.GridError, match="overflows a float"):
+            a.integrate_transformed(tailed, t, a.Outside(1 / 13))
+        with pytest.raises(a.GridError, match="too fine"):
+            a.integrate_transformed(fine, t, a.Outside(1 / 13))
+        self._check_outside(t, [tailed, fine], [1 / 13])
 
     def test_zero_outside_mass_of_an_overflowing_group_is_no_nan(self):
         f = a.grid_function((-1, 1), F(1, 4), [0.5, 0.5, 3.0, 3.0, 3.0, 3.0, 0.5, 0.5])
         t = a.AbsPower(700.0)  # 3**700 overflows to inf
-        with np.errstate(over="ignore"):
-            kernel = _outside_kernel([f], t)
-            for R in (0.5, 0.25, 2.0):
-                assert _bits(kernel(R)) == _bits([a.integrate_transformed(f, t, a.Outside(R))])
+        kernel = _outside_kernel([f], t)
+        for R in (0.5, 0.25, 2.0):
+            assert _bits(kernel(R)) == _bits([a.integrate_transformed(f, t, a.Outside(R))])
         assert not math.isnan(kernel(0.5)[0])
         assert math.isinf(kernel(0.25)[0])

@@ -1,5 +1,6 @@
 """Exact sweeps: transforms, regions, translation defects, superlevel sets."""
 import math
+import warnings
 from fractions import Fraction as F
 
 import numpy as np
@@ -7,6 +8,8 @@ import pytest
 
 import asymlp as a
 import oracles
+from asymlp import quadrature
+from asymlp.cli import main
 
 
 def box_fn(values, lo=F(0), h=F(1, 4), tail=a.ZERO_TAIL):
@@ -212,6 +215,27 @@ class TestLatticeGuard:
         f = a.grid_function((0, 4096), 1, np.arange(4096.0))
         with pytest.raises(a.GridError):
             a.integrate_transformed(f, a.AbsPower(1.0), a.Window(F(1, 2**52), None))
+
+
+class TestOverflow:
+    def test_overflowing_terms_are_inf_without_a_warning(self, tmp_path, capsys):
+        # 1e300 times the cell measure 2**33 overflows a product; 1e300**2
+        # overflows a power; each term is inf, and so is the sum
+        wide = a.grid_function((0, 3 * 2**33), 2**33, [1e300, 1.0, 2.0])
+        path = tmp_path / "fam.json"
+        a.save_json(a.family_to_dict(a.FamilySpec("wide", 1.0, (wide,), (1,))), path)
+        R = a.Outside(2.0**32)  # the 1e300 cell is partly inside
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["norm", str(path)]) == 0
+            assert a.lp_norm(a.grid_function((0, 3), 1, [1e300, 1.0, 2.0]), 2.0) == math.inf
+            assert a.integrate_transformed(wide, a.AbsPower(1.0), R) == math.inf
+            runs = quadrature._family_runs([wide])
+            assert quadrature._outside_kernel([wide], a.AbsPower(1.0), runs)(R.radius) == [math.inf]
+            assert a.translation_profile(wide, [2**33], a.AbsPower(1.0)) == [math.inf]
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert "infinite" in out
 
 
 class TestSuperlevel:
