@@ -30,13 +30,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from asymlp import cli  # noqa: E402
 
-DOCUMENTED = (
-    "f:k=1..100,p=1",
-    "g:k=1..100,p=1",
-    "h:k=1..10,p=1",
-    "u:k=1..64,p=1",
-    "v:k=1..16,p=2",
-)
+DOCUMENTED = tuple(descriptor for descriptor, _ in cli._EXAMPLE_ROWS)
 
 # (label, argv); "{out}" stands for a fresh output path
 INVOCATIONS = (

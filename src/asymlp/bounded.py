@@ -5,10 +5,12 @@ equibounded": one cut M works for every member off an exceptional set
 S_f = {|f| > M} of measure below eps.  "Almost equicontinuous" is the
 (eps, delta) analogue for point pairs; here it is certified by an
 oscillation superlevel set: B_f collects the cells whose local
-oscillation within delta reaches eps, and an exhaustive scan over cell
-pairs off B_f is the authoritative pass condition.  The construction is
-sound (never passes a bad family) but may fail families that admit a
-cleverer exceptional set; reports say so explicitly.
+oscillation within delta reaches eps, and the certificate passes when
+every |B_f| is below eps.  Off B_f no two points within delta differ by
+eps or more, since each cell's oscillation bounds its differences with
+every cell in reach.  The construction is sound (never passes a bad
+family) but may fail families that admit a cleverer exceptional set;
+reports say so explicitly.
 
 Everything in this module fixes p = 1 where p matters and requires
 bounded supports (zero tails).
@@ -33,7 +35,7 @@ from .grid import (
 )
 from .norms import ConvergenceReport, _horizon_report
 from .nets import greedy_net
-from .quadrature import Threshold, difference_integral, superlevel_set
+from .quadrature import Threshold, _quiet, difference_integral, superlevel_set
 
 __all__ = [
     "ExceptionalSet",
@@ -113,7 +115,15 @@ def almost_equibounded_certificate(
 
 @dataclass(frozen=True, eq=False)
 class EquicontinuityCertificate:
-    """(eps, delta) continuity off per-member oscillation sets B_f."""
+    """(eps, delta) continuity off per-member oscillation sets B_f.
+
+    A failure names the first member whose |B_f| reaches eps, in
+    offender_index and detail.  offender_pair and offender_values are
+    never set: no pair of cells off B_f can differ by eps (see
+    ``almost_equicontinuity_certificate``).  They stay None so the
+    certificate's fields, which benchmark answer digests read, keep
+    their shape.
+    """
 
     eps: float
     delta: float
@@ -168,13 +178,17 @@ def _pair_window(delta: Fraction, h: Fraction) -> int:
 def almost_equicontinuity_certificate(
     family: FamilySpec, eps: float, delta: FractionLike
 ) -> EquicontinuityCertificate:
-    """Oscillation-superlevel certificate, re-verified over all cell pairs.
+    """Oscillation-superlevel certificate: pass iff every |B_f| < eps.
 
-    For each member, B_f collects cells whose value differs by >= eps from
-    some cell within distance delta; pass needs |B_f| < eps strictly and,
-    authoritatively, |f(x1) - f(x2)| < eps for every cell pair below delta
-    with both cells off B_f.  Sound but possibly conservative: a family
-    admitting smaller exceptional sets than this construction may still fail.
+    For each member, B_f collects the cells whose value differs by >= eps
+    from some cell within distance delta.  A cell i off B_f has
+    oscillation osc_i = max(hi_i - v_i, v_i - lo_i) < eps over its window,
+    and every cell j in reach has lo_i <= v_j <= hi_i; float subtraction
+    is monotone, so the computed |v_i - v_j| <= osc_i < eps too.  Hence
+    |f(x1) - f(x2)| < eps for every pair below delta with one point off
+    B_f, and the measures alone decide.  Sound but possibly conservative:
+    a family admitting smaller exceptional sets than this construction
+    may still fail.
     """
     if eps <= 0:
         raise GridError("eps must be positive")
@@ -194,7 +208,8 @@ def almost_equicontinuity_certificate(
         v = m.values
         hi = _sliding_extreme(v, W, np.maximum)
         lo = _sliding_extreme(v, W, np.minimum)
-        osc = np.maximum(hi - v, v - lo)
+        safe = 2.0 * m.grid_sup < math.inf
+        osc = np.maximum(_quiet(safe, np.subtract, hi, v), _quiet(safe, np.subtract, v, lo))
         mask = osc >= eps
         B = MeasurableSet(m.box, m.spacing, mask)
         mu = B.measure()
@@ -204,25 +219,6 @@ def almost_equicontinuity_certificate(
                 offender_index=idx,
                 detail=f"|B_f| = {mu:.6g} >= {eps:.6g} for member {idx}",
             )
-        clear = ~mask
-        a0 = float(m.box[0][0])
-        hf = float(h)
-        for off in range(1, min(W, len(v) - 1) + 1):
-            bad = clear[:-off] & clear[off:] & (np.abs(v[:-off] - v[off:]) >= eps)
-            if bad.any():
-                i = int(np.flatnonzero(bad)[0])
-                x1 = a0 + hf * (i + 0.5)
-                x2 = a0 + hf * (i + off + 0.5)
-                return EquicontinuityCertificate(
-                    eps, float(d), False,
-                    offender_index=idx,
-                    offender_pair=(x1, x2),
-                    offender_values=(float(v[i]), float(v[i + off])),
-                    detail=(
-                        f"member {idx}: |f({x1:.6g}) - f({x2:.6g})| = "
-                        f"{abs(v[i] - v[i + off]):.6g} >= {eps:.6g} off B_f"
-                    ),
-                )
         sets.append(B)
         measures.append(mu)
     exceptional = ExceptionalSet(eps, family.indices, tuple(sets), tuple(measures))
@@ -329,11 +325,9 @@ def corollary_crosscheck(
         for delta in delta_grid:
             d = as_fraction(delta)
             eps_tilde = eps / (3.0 + E_measure)
-            try:
-                cert = almost_equicontinuity_certificate(family, eps_tilde, d)
-                cert_passed = cert.passed
-            except GridError:
-                cert_passed = False
+            # passing at eps_tilde implies passing at eps, so a delta this
+            # call rejects raises the same GridError at eps too
+            cert_passed = almost_equicontinuity_certificate(family, eps_tilde, d).passed
             cap = min(float(d), eps_tilde)
             count = max(1, math.ceil(cap / float(lattice.step)) - 1)
             capped = ShiftLattice(lattice.step, min(lattice.count, count))

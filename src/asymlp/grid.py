@@ -343,7 +343,7 @@ class GridFunction:
         if self.dim != 1:
             raise GridError("runs are one-dimensional")
         v = self.values
-        starts = np.concatenate(([0], np.flatnonzero(np.diff(v) != 0.0) + 1))
+        starts = np.concatenate(([0], np.flatnonzero(v[1:] != v[:-1]) + 1))
         bounds = np.concatenate((starts, [v.shape[0]])).astype(np.int64)
         run_values = v[starts]
         bounds.setflags(write=False)
@@ -355,18 +355,20 @@ class GridFunction:
         h = self.spacing[axis]
         return [a + i * h for i in range(self.counts[axis] + 1)]
 
-    def support_radius(self) -> float:
-        """Radius beyond which the function vanishes; inf for a live tail."""
-        if not self.tail.is_zero:
-            return math.inf
-        return float(max(abs(a) if abs(a) > abs(b) else abs(b) for a, b in self.box))
-
     def box_radius(self) -> Fraction:
         return max(max(abs(a), abs(b)) for a, b in self.box)
 
+    @cached_property
+    def grid_sup(self) -> float:
+        """Largest |value| over the cells, 0.0 with none; computed once.
+
+        It bounds every difference of two cell values, so callers can tell
+        cheaply whether a subtraction may overflow.
+        """
+        return float(np.max(np.abs(self.values))) if self.values.size else 0.0
+
     def sup_abs(self) -> float:
-        grid_sup = float(np.max(np.abs(self.values))) if self.values.size else 0.0
-        return max(grid_sup, self.tail.sup())
+        return max(self.grid_sup, self.tail.sup())
 
     def in_lambda_p(self, p: float) -> bool:
         """True when min(|f|, 1)**p has a finite integral."""

@@ -11,7 +11,8 @@ integral of T(f(x + y) - g(x)); ``integrate_transformed``,
 ``difference_integral``, ``translation_defect`` and the exact part of
 ``translation_defect_bounds`` call it.  The tail of f - g follows
 ``grid._combine_tails``.  Two dimensions group their cells with the same
-``_group_exact``, and their differences go through ``grid.subtract``.
+``_group_exact``; ``difference_integral`` embeds both operands on their
+common lattice with ``grid._embed`` and reduces the difference there.
 One reduction, ``_outside``, serves ``Outside`` regions in both
 dimensions: it clips cells against the radius in floats, groups the cells
 with no overlap exactly and adds the partly-inside remainders with one
@@ -66,11 +67,12 @@ from .grid import (
     MeasurableSet,
     TailSpec,
     _combine_tails,
+    _combined_geometry,
+    _embed,
     _pow,
     as_fraction,
     clamped_power_tail_integral,
     power_tail_integral,
-    subtract,
 )
 
 __all__ = [
@@ -136,18 +138,20 @@ class Window:
 Region = Union[None, Outside, Window]
 
 
-def _quiet(safe: bool, op, x, y) -> np.ndarray:
-    """op(x, y) for a power or a product of terms >= 0.
+def _quiet(safe: bool, op, *args):
+    """op(*args) for a power or a product of terms >= 0, a difference, or
+    a profile pass, whose row differences may overflow.
 
-    An entry that overflows is inf, the value every sum here then gives.
+    An entry that overflows is inf (or -inf for a difference, which only
+    its absolute value reads), the value every sum here then gives.
     The caller passes safe when a cheap scalar bound shows that no entry
     can overflow; otherwise numpy's overflow warning is silenced, since
     ``np.errstate`` costs more than many of the small calls here.
     """
     if safe:
-        return op(x, y)
+        return op(*args)
     with np.errstate(over="ignore"):
-        return op(x, y)
+        return op(*args)
 
 
 def _products(x: np.ndarray, y: np.ndarray) -> list[float]:
@@ -405,7 +409,7 @@ def _sweep(f: GridFunction, transform: Transform, region: Region, g=None, shift=
         left, lengths, values = pw.edges[:-1], pw.edges[1:] - pw.edges[:-1], pw.values
     else:
         left, lengths, vf, vg = _merge(pw, _pw_of(g, scale))
-        values = vf - vg
+        values = _quiet(f.grid_sup + g.grid_sup < math.inf, np.subtract, vf, vg)
     return _reduce_region(_apply(transform, values), left, lengths, scale, region)
 
 
@@ -484,9 +488,11 @@ def _degenerate_threshold(transform: Transform, region: Region) -> float | None:
     return math.inf
 
 
-def _grid_integral_2d(f: GridFunction, transform: Transform, region: Region) -> float:
-    num, den = f.cell_volume.numerator, f.cell_volume.denominator
-    tvals = _apply(transform, f.values).ravel()
+def _grid_integral_2d(values: np.ndarray, box, spacing, transform: Transform, region: Region) -> float:
+    """Grid part of the integral of T over 2-d cells on (box, spacing)."""
+    volume = spacing[0] * spacing[1]
+    num, den = volume.numerator, volume.denominator
+    tvals = _apply(transform, values).ravel()
     ones = np.ones(tvals.size, dtype=np.int64)
     if region is None:
         return _group_exact(tvals, ones, den, num)
@@ -497,10 +503,10 @@ def _grid_integral_2d(f: GridFunction, transform: Transform, region: Region) -> 
 
     R = float(region.radius)
     overlaps = []
-    for (a, _), h, n in zip(f.box, f.spacing, f.counts):
+    for (a, _), h, n in zip(box, spacing, values.shape):
         left = float(a) + float(h) * np.arange(n)
         overlaps.append(_overlap(left, left + float(h), R))
-    area = float(f.spacing[0]) * float(f.spacing[1])
+    area = float(spacing[0]) * float(spacing[1])
     return _outside(tvals, ones, num, den, np.outer(*overlaps).ravel(), area)
 
 
@@ -526,18 +532,25 @@ def integrate_transformed(f: GridFunction, transform: Transform, region: Region 
     both the cell part (exact masses) and the power-law tail (closed form)
     are evaluated without discretisation error.
     """
-    grid = _sweep if f.dim == 1 else _grid_integral_2d
-    return _with_tail(f, transform, region, lambda: grid(f, transform, region))
+    if f.dim == 1:
+        return _with_tail(f, transform, region, lambda: _sweep(f, transform, region))
+    return _with_tail(
+        f, transform, region,
+        lambda: _grid_integral_2d(f.values, f.box, f.spacing, transform, region),
+    )
 
 
 def difference_integral(
     f: GridFunction, g: GridFunction, transform: Transform, region: Region = None
 ) -> float:
-    """integral of T(f - g) without materialising a common refinement."""
+    """integral of T(f - g), never building f - g as a GridFunction.
+
+    In one dimension the sweep merges the two run lists; in two, both
+    operands embed on their common lattice and the difference is reduced
+    there.  A difference past the float range is inf, as is its integral.
+    """
     if f.dim != g.dim:
         raise IncompatibleGridsError("dimension mismatch")
-    if f.dim == 2:
-        return integrate_transformed(subtract(f, g), transform, region)
     degenerate = _degenerate_threshold(transform, region)
     if degenerate is not None:
         return degenerate
@@ -546,7 +559,12 @@ def difference_integral(
     tail_term = _tail_part(tail, transform, region)
     if tail_term == math.inf:
         return math.inf
-    return _sweep(f, transform, region, g) + tail_term
+    if f.dim == 1:
+        return _sweep(f, transform, region, g) + tail_term
+    box, spacing = _combined_geometry(f, g)
+    vf, vg = (_embed(u.values, u.box, u.spacing, box, spacing) for u in (f, g))
+    values = _quiet(f.grid_sup + g.grid_sup < math.inf, np.subtract, vf, vg)
+    return _grid_integral_2d(values, box, spacing, transform, region) + tail_term
 
 
 def translation_defect(
@@ -732,12 +750,16 @@ def _profile_rows(members, shifts: list[Fraction], transform: Transform) -> list
             edges[r, len(b):] = edges[r, len(b) - 1]
             values[r, 1:len(b)] = v
         scales = np.array([S for *_, S in used], dtype=np.float64)
+        # a row's differences are of two values of one member; a pass that
+        # may overflow runs quiet
+        safe = 2.0 * max(members[i].grid_sup for i, *_ in used) < math.inf
         per = max(1, _PROFILE_BUDGET // (2 * n))
         for lo in range(0, len(rows), per):
             i, j, r, s, clip = zip(*rows[lo:lo + per])
             r = list(r)
             s, clip = (np.array(c, dtype=np.int64) for c in (s, clip))
-            for i_, j_, v in zip(i, j, _profile_grid(edges[r], values[r], s, clip, scales[r], transform)):
+            sums = _quiet(safe, _profile_grid, edges[r], values[r], s, clip, scales[r], transform)
+            for i_, j_, v in zip(i, j, sums):
                 grid[i_][j_] = v
     return grid
 

@@ -49,11 +49,15 @@ class TestEquicontinuity:
         assert not cert.passed
         assert cert.offender_index is not None
 
-    def test_pair_scan_catches_adjacent_jump(self):
+    def test_adjacent_jump_fails_on_the_oscillation_measure(self):
         f = a.grid_function((F(0), F(1)), F(1, 4), [0.0, 0.0, 5.0, 5.0])
         fam = a.FamilySpec(name="step", p=1.0, members=(f,), indices=(1,))
         cert = a.almost_equicontinuity_certificate(fam, 0.2, F(1, 4))
         assert not cert.passed
+        # the two cells at the jump make up B_f
+        assert cert.detail == "|B_f| = 0.5 >= 0.2 for member 1"
+        assert cert.offender_index == 1
+        assert cert.offender_pair is None and cert.offender_values is None
 
     def test_delta_below_spacing_rejected(self):
         fam = a.lipschitz_family(2)  # spacing 1/64
@@ -145,6 +149,11 @@ class TestCorollary:
     def test_p_must_be_one(self):
         with pytest.raises(a.GridError):
             a.corollary_crosscheck(a.f_family(3, 2.0), [0.5], [F(1, 16)])
+
+    def test_delta_below_spacing_rejected(self):
+        fam = a.lipschitz_family(2)  # spacing 1/64
+        with pytest.raises(a.GridError, match="below the spacing"):
+            a.corollary_crosscheck(fam, [0.5], [F(1, 128)])
 
     def test_table_renders(self):
         rep = a.corollary_crosscheck(a.lipschitz_family(2), [0.5], [F(1, 16)])

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import numpy as np
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 import pytest
 
 import asymlp as a
@@ -951,3 +951,62 @@ class TestFamilyKernels:
             assert _bits(kernel(R)) == _bits([a.integrate_transformed(f, t, a.Outside(R))])
         assert not math.isnan(kernel(0.5)[0])
         assert math.isinf(kernel(0.25)[0])
+
+
+# ---------------------------------------------------------------------------
+# the equicontinuity certificate against a brute-force pair scan
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _jumpy_function(draw):
+    """Bounded 1-d function with huge, subnormal and tied values."""
+    den = draw(st.sampled_from(_DENOMS))
+    n = draw(st.integers(1, 12))
+    pool = st.sampled_from((0.0, -0.0, 1.0, -1.0, 5e-324, 1e308, -1e308))
+    values = draw(st.lists(
+        st.one_of(pool, st.floats(allow_nan=False, allow_infinity=False)), min_size=n, max_size=n
+    ))
+    return a.grid_function((0, F(n, den)), F(1, den), values)
+
+
+@st.composite
+def _certificate_case(draw):
+    f = draw(_jumpy_function())
+    h = f.spacing[0]
+    delta = h * F(draw(st.integers(1, 40)), draw(st.integers(1, 8)))
+    delta = max(delta, h)
+    # eps is often a difference of two values, the edge of ">= eps"
+    v = f.values.tolist()
+    gap = abs(draw(st.sampled_from(v)) - draw(st.sampled_from(v)))
+    eps = draw(st.one_of(
+        st.floats(min_value=5e-324, allow_nan=False, allow_infinity=False),
+        st.just(gap),
+    ))
+    assume(0.0 < eps < math.inf)
+    return f, delta, eps
+
+
+class TestEquicontinuityCertificate:
+    @given(_certificate_case())
+    def test_oscillation_set_is_the_brute_force_one(self, case):
+        f, delta, eps = case
+        v, h = f.values.tolist(), f.spacing[0]
+        # cells i and j hold points below delta apart iff (|i - j| - 1) * h < delta
+        near = [
+            [j for j in range(len(v)) if (abs(i - j) - 1) * h < delta] for i in range(len(v))
+        ]
+        B = [any(abs(v[i] - v[j]) >= eps for j in near[i]) for i in range(len(v))]
+        # no two cells in reach, both off B_f, differ by eps or more
+        for i in range(len(v)):
+            for j in near[i]:
+                assert B[i] or B[j] or abs(v[i] - v[j]) < eps, (i, j)
+        family = a.FamilySpec("one", 1.0, (f,), (1,))
+        cert = a.almost_equicontinuity_certificate(family, eps, delta)
+        mu = float(sum(B) * h)
+        assert cert.passed == (mu < eps)
+        if cert.passed:
+            assert cert.exceptional.sets[0].mask.tolist() == B
+            assert cert.exceptional.measures == (mu,)
+        else:
+            assert cert.detail == f"|B_f| = {mu:.6g} >= {eps:.6g} for member 1"
+        assert cert.offender_pair is None and cert.offender_values is None

@@ -237,6 +237,24 @@ class TestOverflow:
         assert err == ""
         assert "infinite" in out
 
+    def test_overflowing_differences_are_inf_without_a_warning(self):
+        # 1e308 - (-1e308) overflows; the difference is inf, never a GridError
+        square = ((0, 1), (0, 1))
+        f2, g2 = a.constant(1e308, square, 1), a.constant(-1e308, square, 1)
+        f1, g1 = a.grid_function((0, 1), 1, [1e308]), a.grid_function((0, 1), 1, [-1e308])
+        jump = a.grid_function((0, 2), 1, [1e308, -1e308])
+        family = a.FamilySpec("jump", 1.0, (jump,), (1,))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for f, g in ((f2, g2), (f1, g1)):
+                assert a.alpha_distance(f, g, 1.0) == 1.0
+                assert a.difference_integral(f, g, a.AbsPower(1.0)) == math.inf
+            assert a.translation_defect(jump, 1, a.AbsPower(1.0)) == math.inf
+            assert a.translation_profile(jump, [1], a.AbsPower(1.0)) == [math.inf]
+            assert a.translation_profile(jump, [1], a.ClampPower(1.0)) == [3.0]
+            cert = a.almost_equicontinuity_certificate(family, 0.5, 1)
+            assert cert.detail == "|B_f| = 2 >= 0.5 for member 1"
+
 
 class TestSuperlevel:
     def test_measure_strict_inequality(self):
